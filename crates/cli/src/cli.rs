@@ -774,7 +774,20 @@ pub fn execute(command: Command, out: &mut dyn std::io::Write) -> std::io::Resul
                 "dpi: scan={}, threads={planned} (requested {requested})",
                 rtc_core::dpi::ScanMode::active().label()
             )?;
-            let dissection = rtc_core::dpi::dissect_call(&rtc_udp, &config.dpi);
+            let (dissection, stats) = rtc_core::dpi::dissect_call_sampled(&rtc_udp, &config.dpi, 0);
+            let candidates: u64 = stats.candidates.iter().sum();
+            let per_matcher: Vec<String> = rtc_core::dpi::CandidateKind::MATCHER_LABELS
+                .iter()
+                .zip(stats.candidates)
+                .map(|(label, n)| format!("{label} {n}"))
+                .collect();
+            let validated = dissection.messages().count();
+            writeln!(
+                out,
+                "dpi: {candidates} candidates ({}), {validated} validated ({:.1} %)",
+                per_matcher.join(", "),
+                100.0 * validated as f64 / candidates.max(1) as f64
+            )?;
             let checked = rtc_core::compliance::check_call(&dissection);
             let (by_proto, fully) = dissection.message_distribution();
             for (p, n) in &by_proto {

@@ -50,7 +50,7 @@ pub fn check_quic(_dgram: &DatagramDissection, msg: &DpiMessage) -> (TypeKey, Op
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use rtc_dpi::{CidBuf, DatagramClass, Protocol};
+    use rtc_dpi::{DatagramClass, Protocol};
     use rtc_pcap::Timestamp;
     use rtc_wire::ip::FiveTuple;
     use rtc_wire::quic::{LongType, VERSION_1};
@@ -81,14 +81,7 @@ mod tests {
             scid: vec![2; 8],
             header_len: 0,
         };
-        let (d, m) = wrap(
-            CandidateKind::QuicLong {
-                version: VERSION_1,
-                dcid: CidBuf::try_from_slice(&[1; 8]).unwrap(),
-                scid: CidBuf::try_from_slice(&[2; 8]).unwrap(),
-            },
-            h.build(),
-        );
+        let (d, m) = wrap(CandidateKind::QuicLong { version: VERSION_1 }, h.build());
         let (key, v) = check_quic(&d, &m);
         assert_eq!(key, TypeKey::QuicLong(0));
         assert!(v.is_none());
@@ -105,8 +98,7 @@ mod tests {
             scid: vec![],
             header_len: 0,
         };
-        let (d, m) =
-            wrap(CandidateKind::QuicLong { version: VERSION_1, dcid: CidBuf::EMPTY, scid: CidBuf::EMPTY }, h.build());
+        let (d, m) = wrap(CandidateKind::QuicLong { version: VERSION_1 }, h.build());
         let v = check_quic(&d, &m).1.unwrap();
         assert_eq!(v.criterion, Criterion::HeaderFieldsValid);
     }
@@ -125,8 +117,7 @@ mod tests {
         // The DPI drops >20-byte CIDs at extraction (RFC 9000 §17.2), but
         // the checker re-parses the wire bytes and must still flag them if
         // handed such a message directly.
-        let (d, m) =
-            wrap(CandidateKind::QuicLong { version: VERSION_1, dcid: CidBuf::EMPTY, scid: CidBuf::EMPTY }, h.build());
+        let (d, m) = wrap(CandidateKind::QuicLong { version: VERSION_1 }, h.build());
         assert!(check_quic(&d, &m).1.is_some());
     }
 

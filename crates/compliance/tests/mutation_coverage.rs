@@ -20,7 +20,7 @@
 use bytes::Bytes;
 use rtc_compliance::context::CallContext;
 use rtc_compliance::{check_message, Criterion, TypeKey, Violation};
-use rtc_dpi::{CandidateKind, CidBuf, DatagramClass, DatagramDissection, DpiMessage, Protocol};
+use rtc_dpi::{CandidateKind, DatagramClass, DatagramDissection, DpiMessage, Protocol};
 use rtc_pcap::Timestamp;
 use rtc_wire::ip::FiveTuple;
 use rtc_wire::quic::{LongHeader, LongType, ShortHeader, VERSION_1};
@@ -297,16 +297,12 @@ fn quic_long_criterion_2_fixed_bit_cleared() {
         scid: vec![2; 8],
         header_len: 0,
     };
-    let kind = || CandidateKind::QuicLong {
-        version: VERSION_1,
-        dcid: CidBuf::try_from_slice(&[1; 8]).unwrap(),
-        scid: CidBuf::try_from_slice(&[2; 8]).unwrap(),
-    };
+    let kind = CandidateKind::QuicLong { version: VERSION_1 };
     let ctx = CallContext::default();
-    let (key, v) = judge(Protocol::Quic, kind(), header(false).build(), vec![], &ctx);
+    let (key, v) = judge(Protocol::Quic, kind, header(false).build(), vec![], &ctx);
     assert_eq!(key, TypeKey::QuicLong(0));
     assert_fails("quic-long/c2", v, Criterion::HeaderFieldsValid);
-    let (_, v) = judge(Protocol::Quic, kind(), header(true).build(), vec![], &ctx);
+    let (_, v) = judge(Protocol::Quic, kind, header(true).build(), vec![], &ctx);
     assert_passes("quic-long/c2 repaired", v);
 }
 

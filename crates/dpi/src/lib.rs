@@ -257,11 +257,9 @@ pub fn dissect_call_sampled<D: std::borrow::Borrow<Datagram> + Sync>(
     // ---- Step 2: protocol-specific validation (lines 14–19). -----------
     let mut builder = resolve::ContextBuilder::new(config);
     for (d, candidates) in datagrams.iter().zip(batch.iter()) {
-        for c in candidates {
-            stats.candidates[c.kind.matcher_index()] += 1;
-        }
         builder.observe(d.borrow(), candidates);
     }
+    stats.candidates = builder.candidate_counts();
     let mut ctx = builder.finish();
 
     // ---- Step 3: per-datagram resolution and classification. -----------
@@ -270,18 +268,20 @@ pub fn dissect_call_sampled<D: std::borrow::Borrow<Datagram> + Sync>(
     let (dissections, resolve_ns) = par::resolve_all(datagrams, &batch, &ctx, config, sample_every);
     stats.resolve_ns = resolve_ns;
     let mut out = CallDissection::default();
+    // Tally by (protocol, reason) — a handful of distinct values per call —
+    // and spell each one out as its taxonomy key once.
+    let mut tally: Vec<(pattern::Rejection, usize)> = Vec::new();
     for (dd, d) in dissections.iter().zip(datagrams) {
         if dd.class == DatagramClass::FullyProprietary {
-            let key = pattern::rejection_key(&d.borrow().payload);
-            // Look up by `&str` first: the handful of distinct keys means the
-            // common case is a count bump with no `String` allocation.
-            match out.rejections.get_mut(key.as_ref()) {
-                Some(n) => *n += 1,
-                None => {
-                    out.rejections.insert(key.into_owned(), 1);
-                }
+            let why = pattern::Rejection::of(&d.borrow().payload);
+            match tally.iter_mut().find(|(r, _)| *r == why) {
+                Some((_, n)) => *n += 1,
+                None => tally.push((why, 1)),
             }
         }
+    }
+    for (why, n) in tally {
+        *out.rejections.entry(why.key().into_owned()).or_default() += n;
     }
     out.datagrams = dissections;
     // The context is done once every datagram is resolved; hand its SSRC
@@ -554,6 +554,42 @@ mod tests {
         let out = dissect_call(&dgrams, &DpiConfig::default());
         assert!(out.datagrams.iter().all(|d| d.class == DatagramClass::Standard));
         assert!(out.datagrams.iter().all(|d| d.messages[0].protocol == Protocol::Quic));
+    }
+
+    /// Validation re-reads a long header's connection IDs at its
+    /// candidate offset, so one behind a proprietary prefix still admits
+    /// short headers on its conversation — here in the reverse direction.
+    #[test]
+    fn quic_long_header_behind_prefix_admits_short_headers() {
+        let mut long = vec![0x0B; 5];
+        long.extend(
+            rtc_wire::quic::LongHeader {
+                fixed_bit: true,
+                long_type: rtc_wire::quic::LongType::Initial,
+                type_specific: 0,
+                version: rtc_wire::quic::VERSION_1,
+                dcid: vec![4; 8],
+                scid: vec![7; 6],
+                header_len: 0,
+            }
+            .build(),
+        );
+        long.extend_from_slice(&[0xAB; 40]);
+        let mut short =
+            rtc_wire::quic::ShortHeader { fixed_bit: true, spin: false, dcid: vec![7; 6], header_len: 0 }.build();
+        short.extend_from_slice(&[0xCD; 30]);
+        let forward = dgram(0, long);
+        let reverse = Datagram { five_tuple: forward.five_tuple.reversed(), ..dgram(10, short.clone()) };
+        let out = dissect_call(&[forward, reverse], &DpiConfig::default());
+        let (prefixed, answer) = (&out.datagrams[0], &out.datagrams[1]);
+        assert_eq!(prefixed.class, DatagramClass::ProprietaryHeader);
+        assert_eq!(prefixed.prop_header_len, 5);
+        assert!(matches!(prefixed.messages[0].kind, CandidateKind::QuicLong { .. }));
+        assert_eq!(answer.class, DatagramClass::Standard, "{answer:?}");
+        assert_eq!(answer.messages[0].kind, CandidateKind::QuicShortProbe);
+        // Without the long header the same short header stays unvalidated.
+        let alone = dissect_call(&[dgram(10, short)], &DpiConfig::default());
+        assert_eq!(alone.datagrams[0].class, DatagramClass::FullyProprietary);
     }
 
     #[test]

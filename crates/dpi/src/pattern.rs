@@ -32,16 +32,17 @@
 
 use crate::scan;
 use rtc_wire::stun;
-use rtc_wire::{WireError, WireProtocol};
+use rtc_wire::{Reason, WireError, WireProtocol};
+use std::borrow::Cow;
 
 /// Inline storage for a QUIC connection ID.
 ///
 /// RFC 9000 §17.2 caps connection IDs at 20 bytes for version 1 (and RFC
 /// 9369 keeps the cap for v2); endpoints MUST drop version-1 long headers
 /// declaring more. Since extraction only accepts known versions, the cap
-/// lets candidates store CIDs inline instead of heap-allocating two
-/// `Vec<u8>`s per QUIC candidate on the hot path.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+/// lets the validation context keep each stream's CIDs inline, with no
+/// heap allocation per CID.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CidBuf {
     len: u8,
     bytes: [u8; CidBuf::MAX],
@@ -114,7 +115,13 @@ impl PartialEq<&[u8]> for CidBuf {
 }
 
 /// Structural details recorded when a pattern matches.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Every variant is a few scalar fields, so a kind is 8 bytes and `Copy`.
+/// QUIC connection IDs are not kept here: validation re-reads them from
+/// the long header at the candidate's offset (see
+/// [`crate::resolve::ContextBuilder::observe`]), which costs nothing on the
+/// RTP-dominated candidate stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CandidateKind {
     /// A STUN/TURN message. `modern` = carries the RFC 5389 magic cookie.
     Stun {
@@ -148,10 +155,6 @@ pub enum CandidateKind {
     QuicLong {
         /// Version field (1 or the v2 identifier).
         version: u32,
-        /// Destination connection ID (inline; ≤ 20 bytes per RFC 9000).
-        dcid: CidBuf,
-        /// Source connection ID.
-        scid: CidBuf,
     },
     /// A potential QUIC short-header packet (validated against the
     /// stream's known connection IDs).
@@ -183,25 +186,52 @@ impl CandidateKind {
 }
 
 /// One structural match: a protocol pattern at a payload offset.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Positions are `u32`: the extraction entry points assert that the
+/// payload length fits, so no position is ever truncated. Most candidates
+/// are false positives that validation drops, so their size is most of the
+/// DPI's working set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Candidate {
     /// Byte offset in the UDP payload.
-    pub offset: usize,
+    pub offset: u32,
     /// Claimed length (bytes) from `offset`.
-    pub len: usize,
+    pub len: u32,
     /// Structural details.
     pub kind: CandidateKind,
     /// For STUN messages carrying a DATA attribute: the attribute value's
     /// byte range *relative to the message start* (nested messages may live
     /// there).
-    pub data_attr: Option<(usize, usize)>,
+    pub data_attr: Option<(u32, u32)>,
 }
 
+const _: () = assert!(std::mem::size_of::<CandidateKind>() == 8);
+const _: () = assert!(std::mem::size_of::<Candidate>() <= 28);
+
 impl Candidate {
+    /// A candidate without a DATA attribute at `offset`, claiming `len`
+    /// bytes. Both fit `u32` because [`assert_fits`] held for the payload.
+    #[inline(always)]
+    fn at(offset: usize, len: usize, kind: CandidateKind) -> Candidate {
+        Candidate { offset: offset as u32, len: len as u32, kind, data_attr: None }
+    }
+
+    /// Byte offset in the UDP payload, as an index.
+    pub fn start(&self) -> usize {
+        self.offset as usize
+    }
+
     /// One past the last claimed byte.
     pub fn end(&self) -> usize {
-        self.offset + self.len
+        self.offset as usize + self.len as usize
     }
+}
+
+/// Candidate positions are `u32`; refuse a payload they cannot address
+/// rather than truncate. (A UDP payload is at most 65,507 bytes.)
+#[inline(always)]
+fn assert_fits(payload: &[u8]) {
+    assert!(u32::try_from(payload.len()).is_ok(), "a {}-byte payload overflows u32 candidate offsets", payload.len());
 }
 
 // ---- extraction entry points -----------------------------------------------
@@ -246,6 +276,7 @@ fn extract_into_bulk(
     if payload.is_empty() {
         return;
     }
+    assert_fits(payload);
     let limit = max_offset.min(payload.len() - 1);
     extract_at_zero(payload, out);
     if limit == 0 {
@@ -324,16 +355,15 @@ fn rtp_gate(tail: &[u8]) -> bool {
 #[inline(always)]
 fn rtp_candidate(tail: &[u8], i: usize) -> Candidate {
     rtc_cov::probe!("dpi.match.rtp");
-    Candidate {
-        offset: i,
-        len: tail.len(),
-        kind: CandidateKind::Rtp {
+    Candidate::at(
+        i,
+        tail.len(),
+        CandidateKind::Rtp {
             ssrc: u32::from_be_bytes([tail[8], tail[9], tail[10], tail[11]]),
             payload_type: tail[1] & 0x7F,
             seq: u16::from_be_bytes([tail[2], tail[3]]),
         },
-        data_attr: None,
-    }
+    )
 }
 
 /// Offset-0 dispatch on the first byte's two top bits (the module-level
@@ -441,6 +471,7 @@ fn rtcp_prefilter(tail: &[u8]) -> bool {
 /// kept verbatim for differential testing against the prefiltered fast
 /// path. Not used on any production path.
 pub fn extract_candidates_naive(payload: &[u8], max_offset: usize) -> Vec<Candidate> {
+    assert_fits(payload);
     let mut out = Vec::new();
     let limit = max_offset.min(payload.len());
     for i in 0..=limit {
@@ -553,7 +584,7 @@ fn match_stun(tail: &[u8], offset: usize) -> Option<Candidate> {
         let a = a.ok()?;
         let vlen = a.value.len();
         if a.typ == stun::attr::DATA {
-            data_attr = Some((attr_offset + 4, attr_offset + 4 + vlen));
+            data_attr = Some(((attr_offset + 4) as u32, (attr_offset + 4 + vlen) as u32));
         }
         attr_offset += 4 + vlen + (4 - vlen % 4) % 4;
     }
@@ -569,10 +600,8 @@ fn match_stun(tail: &[u8], offset: usize) -> Option<Candidate> {
         }
     }
     Some(Candidate {
-        offset,
-        len: msg.wire_len(),
-        kind: CandidateKind::Stun { message_type: msg.message_type(), modern },
         data_attr,
+        ..Candidate::at(offset, msg.wire_len(), CandidateKind::Stun { message_type: msg.message_type(), modern })
     })
 }
 
@@ -601,12 +630,7 @@ fn match_channeldata(tail: &[u8], offset: usize) -> Option<Candidate> {
             rtc_cov::probe!("dpi.match.channeldata-shortfall");
         }
     }
-    Some(Candidate {
-        offset,
-        len: cd.wire_len(),
-        kind: CandidateKind::ChannelData { channel: cd.channel_number() },
-        data_attr: None,
-    })
+    Some(Candidate::at(offset, cd.wire_len(), CandidateKind::ChannelData { channel: cd.channel_number() }))
 }
 
 /// RTCP pattern: version 2, packet type 200–207, declared length in bounds.
@@ -616,12 +640,7 @@ fn match_rtcp(tail: &[u8], offset: usize) -> Option<Candidate> {
     }
     let p = rtc_wire::rtcp::Packet::new_checked(tail).ok()?;
     rtc_cov::probe!("dpi.match.rtcp");
-    Some(Candidate {
-        offset,
-        len: p.wire_len(),
-        kind: CandidateKind::Rtcp { packet_type: p.packet_type(), count: p.count() },
-        data_attr: None,
-    })
+    Some(Candidate::at(offset, p.wire_len(), CandidateKind::Rtcp { packet_type: p.packet_type(), count: p.count() }))
 }
 
 /// RTP pattern: version 2, a second byte outside the RTCP packet-type
@@ -634,12 +653,11 @@ fn match_rtp(tail: &[u8], offset: usize) -> Option<Candidate> {
         return None;
     }
     let p = rtc_wire::rtp::Packet::new_checked(tail).ok()?;
-    Some(Candidate {
+    Some(Candidate::at(
         offset,
-        len: tail.len(),
-        kind: CandidateKind::Rtp { ssrc: p.ssrc(), payload_type: p.payload_type(), seq: p.sequence_number() },
-        data_attr: None,
-    })
+        tail.len(),
+        CandidateKind::Rtp { ssrc: p.ssrc(), payload_type: p.payload_type(), seq: p.sequence_number() },
+    ))
 }
 
 /// QUIC pattern: long headers (form + fixed bit, known version) anywhere;
@@ -663,15 +681,11 @@ fn match_quic_long(tail: &[u8], offset: usize) -> Option<Candidate> {
     if h.version != rtc_wire::quic::VERSION_1 && h.version != rtc_wire::quic::VERSION_2 {
         return None;
     }
-    let dcid = CidBuf::try_from_slice(h.dcid)?;
-    let scid = CidBuf::try_from_slice(h.scid)?;
+    if h.dcid.len() > CidBuf::MAX || h.scid.len() > CidBuf::MAX {
+        return None;
+    }
     rtc_cov::probe!("dpi.match.quic-long");
-    Some(Candidate {
-        offset,
-        len: tail.len(),
-        kind: CandidateKind::QuicLong { version: h.version, dcid, scid },
-        data_attr: None,
-    })
+    Some(Candidate::at(offset, tail.len(), CandidateKind::QuicLong { version: h.version }))
 }
 
 /// The short-header half of the QUIC pattern (offset-0 probe only).
@@ -679,7 +693,7 @@ fn match_quic_short(tail: &[u8], offset: usize) -> Option<Candidate> {
     let b0 = *tail.first()?;
     if offset == 0 && b0 & 0xC0 == 0x40 && tail.len() >= 9 {
         rtc_cov::probe!("dpi.match.quic-short-probe");
-        return Some(Candidate { offset, len: tail.len(), kind: CandidateKind::QuicShortProbe, data_attr: None });
+        return Some(Candidate::at(offset, tail.len(), CandidateKind::QuicShortProbe));
     }
     None
 }
@@ -720,28 +734,55 @@ pub fn explain_rejection(payload: &[u8]) -> Option<WireError> {
 /// or a first-byte-class fallback when the bytes parse structurally but
 /// fail stream validation (seq continuity, SSRC cross-check, CID match…).
 ///
-/// Returns a `Cow` so the (frequent) static keys cost no allocation —
-/// dissection counts one key per fully-proprietary datagram.
-pub fn rejection_key(payload: &[u8]) -> std::borrow::Cow<'static, str> {
-    use std::borrow::Cow;
-    if payload.is_empty() {
-        return Cow::Borrowed("empty payload");
-    }
-    if let Some(e) = explain_rejection(payload) {
-        return Cow::Owned(e.taxonomy_key());
-    }
-    Cow::Borrowed(match payload[0] >> 6 {
-        0b00 => "stun: failed stream validation",
-        0b01 => "channeldata/quic-short: failed stream validation",
-        0b10 => {
-            if payload.len() >= 2 && (200..=207).contains(&payload[1]) {
-                "rtcp: failed stream validation"
-            } else {
-                "rtp: failed stream validation"
-            }
+/// Returns a `Cow` so the (frequent) static keys cost no allocation.
+/// Dissection itself tallies [`Rejection`]s and spells each distinct key
+/// out once per call.
+pub fn rejection_key(payload: &[u8]) -> Cow<'static, str> {
+    Rejection::of(payload).key()
+}
+
+/// A [`rejection_key`] before it is spelled out: the failed parse's
+/// protocol and reason, or a fixed key. Cheap to compare and copy, so a
+/// call's fully-proprietary datagrams are counted without building a
+/// string each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rejection {
+    /// A fixed key.
+    Fixed(&'static str),
+    /// The offset-0 parse failed; the key is the error's taxonomy key.
+    Wire(WireProtocol, Reason),
+}
+
+impl Rejection {
+    /// Why `payload` was rejected (see [`rejection_key`]).
+    pub(crate) fn of(payload: &[u8]) -> Rejection {
+        if payload.is_empty() {
+            return Rejection::Fixed("empty payload");
         }
-        _ => "quic: failed stream validation",
-    })
+        if let Some(e) = explain_rejection(payload) {
+            return Rejection::Wire(e.protocol, e.reason);
+        }
+        Rejection::Fixed(match payload[0] >> 6 {
+            0b00 => "stun: failed stream validation",
+            0b01 => "channeldata/quic-short: failed stream validation",
+            0b10 => {
+                if payload.len() >= 2 && (200..=207).contains(&payload[1]) {
+                    "rtcp: failed stream validation"
+                } else {
+                    "rtp: failed stream validation"
+                }
+            }
+            _ => "quic: failed stream validation",
+        })
+    }
+
+    /// The taxonomy key.
+    pub(crate) fn key(self) -> Cow<'static, str> {
+        match self {
+            Rejection::Fixed(key) => Cow::Borrowed(key),
+            Rejection::Wire(protocol, reason) => Cow::Owned(WireError { protocol, offset: 0, reason }.taxonomy_key()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -755,7 +796,7 @@ mod tests {
         let msg = MessageBuilder::new(0x0001, [1; 12]).build();
         let c = extract_candidates(&msg, 200);
         assert!(matches!(c[0].kind, CandidateKind::Stun { message_type: 0x0001, modern: true }));
-        assert_eq!(c[0].len, msg.len());
+        assert_eq!(c[0].len as usize, msg.len());
     }
 
     #[test]
@@ -779,7 +820,7 @@ mod tests {
         let c = extract_candidates(&msg, 0);
         let stun = c.iter().find(|c| matches!(c.kind, CandidateKind::Stun { .. })).unwrap();
         let (s, e) = stun.data_attr.unwrap();
-        assert_eq!(&msg[s..e], &inner[..]);
+        assert_eq!(&msg[s as usize..e as usize], &inner[..]);
     }
 
     #[test]
@@ -880,6 +921,17 @@ mod tests {
         p.extend(PacketBuilder::new(96, 7, 8, 9).payload(vec![0; 20]).build());
         assert!(extract_candidates(&p, 10).iter().all(|c| !matches!(c.kind, CandidateKind::Rtp { .. })));
         assert!(extract_candidates(&p, 60).iter().any(|c| matches!(c.kind, CandidateKind::Rtp { .. })));
+    }
+
+    #[test]
+    fn rejection_key_spells_the_offset_zero_parse_error() {
+        let payloads: [&[u8]; 5] =
+            [&[0xDE, 0xAD, 0xBE, 0xEF, 0xCA, 0xFE, 1, 2, 3, 4], &[0x01; 1000], &[0x80, 0x00], &[0x41; 3], &[0xC5; 9]];
+        for p in payloads {
+            let e = explain_rejection(p).expect("each payload fails its offset-0 parse");
+            assert_eq!(rejection_key(p), e.taxonomy_key(), "{p:02x?}");
+        }
+        assert_eq!(rejection_key(&[]), "empty payload");
     }
 
     // ---- fast-path machinery ----------------------------------------------

@@ -13,36 +13,37 @@ use std::collections::{HashMap, HashSet};
 /// individual candidates.
 #[derive(Debug, Default)]
 pub struct ValidationContext {
-    /// Per directional stream: SSRCs whose groups passed the RTP
-    /// sequence-continuity test, sorted ascending (tiny per stream, so a
-    /// flat sorted list beats a set — and the stream key hashes once per
-    /// *datagram*, not per candidate, via [`StreamView`]).
-    valid_rtp_groups: HashMap<FiveTuple, Vec<u32>>,
-    /// Per directional stream: legacy message types with enough members to
-    /// trust a cookie-less STUN match, sorted ascending.
-    legacy_stun_groups: HashMap<FiveTuple, Vec<u16>>,
+    /// Slot index of every directional stream that carried a candidate.
+    slot_of: HashMap<FiveTuple, u32>,
+    /// One frozen slot per such stream: resolving a datagram hashes its
+    /// stream key once, then validates every candidate against the slot.
+    slots: Vec<StreamSlot>,
     /// RTP SSRCs per *conversation* (canonical stream key), from valid
     /// groups — the RTCP cross-validation set.
     pub rtp_ssrcs: HashMap<FiveTuple, HashSet<u32>>,
-    /// QUIC connection IDs per conversation, from long headers (inline
-    /// [`CidBuf`] storage — building the set allocates nothing per packet).
-    quic_cids: HashMap<FiveTuple, HashSet<CidBuf>>,
 }
 
-/// One datagram's slice of the validation context: every stream-keyed map
-/// is resolved once up front, so per-candidate validation touches only
-/// small flat lists and never re-hashes a [`FiveTuple`]. With tens of
-/// (mostly false-positive) candidates per datagram, those hashes used to
-/// dominate resolution.
-struct StreamView<'a> {
-    rtp: &'a [u32],
-    legacy: &'a [u16],
-    rtcp_ssrcs: Option<&'a HashSet<u32>>,
-    quic_cids: Option<&'a HashSet<CidBuf>>,
+/// What validation needs to know about one directional stream. Every list
+/// is tiny and sorted ascending, so a membership probe is a few compares
+/// ([`sorted_contains`]) rather than a hash.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct StreamSlot {
+    /// SSRCs whose groups on this stream passed the RTP
+    /// sequence-continuity test.
+    rtp: Vec<u32>,
+    /// Legacy message types with enough members on this stream to trust a
+    /// cookie-less STUN match.
+    legacy: Vec<u16>,
+    /// The conversation's valid RTP SSRCs (both directions): the RTCP
+    /// sender-SSRC cross-validation set.
+    rtcp_ssrcs: Vec<u32>,
+    /// The conversation's QUIC connection IDs, from long headers.
+    quic_cids: Vec<CidBuf>,
 }
 
-static NO_U32: [u32; 0] = [];
-static NO_U16: [u16; 0] = [];
+/// The slot of a stream that carried no candidate: nothing validates.
+static EMPTY_SLOT: StreamSlot =
+    StreamSlot { rtp: Vec::new(), legacy: Vec::new(), rtcp_ssrcs: Vec::new(), quic_cids: Vec::new() };
 
 /// Membership test on a small sorted slice via a branch-free binary search:
 /// the probe is a conditional move per halving, so the (overwhelmingly
@@ -84,32 +85,23 @@ impl ValidationContext {
         builder.finish()
     }
 
-    fn stream_view(&self, stream: FiveTuple) -> StreamView<'_> {
-        let canonical = stream.canonical();
-        StreamView {
-            rtp: self.valid_rtp_groups.get(&stream).map_or(&NO_U32[..], Vec::as_slice),
-            legacy: self.legacy_stun_groups.get(&stream).map_or(&NO_U16[..], Vec::as_slice),
-            rtcp_ssrcs: self.rtp_ssrcs.get(&canonical),
-            quic_cids: self.quic_cids.get(&canonical),
-        }
+    fn slot(&self, stream: &FiveTuple) -> &StreamSlot {
+        self.slot_of.get(stream).map_or(&EMPTY_SLOT, |&i| &self.slots[i as usize])
     }
 }
 
-impl StreamView<'_> {
+impl StreamSlot {
     fn rtcp_ssrc_valid(&self, ssrc: Option<u32>) -> bool {
         match ssrc {
             // RFC 3550 does not forbid SSRC 0, and Discord uses it (§5.3).
             Some(0) => true,
-            Some(s) => self.rtcp_ssrcs.is_some_and(|set| set.contains(&s)),
+            Some(s) => sorted_contains(&self.rtcp_ssrcs, s),
             None => false,
         }
     }
 
     fn quic_short_valid(&self, payload: &[u8]) -> bool {
-        let Some(cids) = self.quic_cids else {
-            return false;
-        };
-        cids.iter().any(|cid| payload.len() > cid.len() && payload[1..1 + cid.len()] == *cid.as_slice())
+        self.quic_cids.iter().any(|cid| payload.len() > cid.len() && payload[1..1 + cid.len()] == *cid.as_slice())
     }
 }
 
@@ -142,8 +134,9 @@ pub struct ContextBuilder {
     stream_ids: HashMap<FiveTuple, u32>,
     streams: Vec<FiveTuple>,
     rtp_rows: Vec<RtpRow>,
-    legacy: HashMap<(FiveTuple, u16), usize>,
-    ctx: ValidationContext,
+    legacy: HashMap<(u32, u16), u32>,
+    quic_cids: HashSet<(u32, CidBuf)>,
+    candidates: [u64; CandidateKind::MATCHER_LABELS.len()],
 }
 
 type RtpRow = (u64, u32, u16, u8);
@@ -157,7 +150,8 @@ impl ContextBuilder {
             streams: Vec::new(),
             rtp_rows: Vec::new(),
             legacy: HashMap::new(),
-            ctx: ValidationContext::default(),
+            quic_cids: HashSet::new(),
+            candidates: [0; CandidateKind::MATCHER_LABELS.len()],
         }
     }
 
@@ -171,26 +165,36 @@ impl ContextBuilder {
             (self.streams.len() - 1) as u32
         });
         for c in candidates {
-            match &c.kind {
+            self.candidates[c.kind.matcher_index()] += 1;
+            match c.kind {
                 CandidateKind::Rtp { ssrc, seq, .. } => {
-                    let key = (sid as u64) << 32 | *ssrc as u64;
-                    self.rtp_rows.push((key, self.rtp_rows.len() as u32, *seq, d.payload[c.offset]));
+                    let key = (sid as u64) << 32 | ssrc as u64;
+                    self.rtp_rows.push((key, self.rtp_rows.len() as u32, seq, d.payload[c.start()]));
                 }
                 CandidateKind::Stun { message_type, modern: false } => {
-                    *self.legacy.entry((d.five_tuple, *message_type)).or_default() += 1;
+                    *self.legacy.entry((sid, message_type)).or_default() += 1;
                 }
-                CandidateKind::QuicLong { dcid, scid, .. } => {
-                    let set = self.ctx.quic_cids.entry(d.five_tuple.canonical()).or_default();
-                    if !dcid.is_empty() {
-                        set.insert(*dcid);
-                    }
-                    if !scid.is_empty() {
-                        set.insert(*scid);
+                CandidateKind::QuicLong { .. } => {
+                    // Extraction parsed this header already and kept only
+                    // its version; long headers are rare enough to re-read
+                    // the connection IDs here instead of carrying them.
+                    if let Ok(h) = rtc_wire::quic::LongHeaderRef::parse(&d.payload[c.start()..]) {
+                        for cid in [h.dcid, h.scid] {
+                            if let Some(cid) = CidBuf::try_from_slice(cid).filter(|id| !id.is_empty()) {
+                                self.quic_cids.insert((sid, cid));
+                            }
+                        }
                     }
                 }
                 _ => {}
             }
         }
+    }
+
+    /// Candidates observed so far, indexed by
+    /// [`CandidateKind::matcher_index`].
+    pub fn candidate_counts(&self) -> [u64; CandidateKind::MATCHER_LABELS.len()] {
+        self.candidates
     }
 
     /// Validate the accumulated groups into the final [`ValidationContext`],
@@ -219,13 +223,12 @@ impl ContextBuilder {
     /// to the next key change, so a `(stream, SSRC)` group — a run of equal
     /// keys, which the sort made contiguous — is always scanned whole by
     /// exactly one worker and the test sees the same members as the serial
-    /// scan. Partial results are concatenated in partition order, which is
-    /// row order, so the context maps are built in the identical sequence
-    /// either way: the outcome is byte-for-byte independent of `threads`.
+    /// scan. Every per-stream list is sorted before it is frozen, so the
+    /// outcome is independent of `threads`.
     pub fn finish_with_threads(self, threads: usize) -> ValidationContext {
-        let ContextBuilder { config, streams, mut rtp_rows, legacy, mut ctx, .. } = self;
-        bucket_sort_rows(&mut rtp_rows);
+        let ContextBuilder { config, stream_ids, streams, mut rtp_rows, legacy, quic_cids, .. } = self;
         let (min_group, max_gap) = (config.rtp_min_group, config.rtp_max_seq_gap);
+        bucket_sort_rows(&mut rtp_rows, min_group);
         let valid_keys: Vec<u64> = if threads <= 1 || rtp_rows.len() < 2 {
             scan_groups(&rtp_rows, min_group, max_gap)
         } else {
@@ -252,27 +255,44 @@ impl ContextBuilder {
             });
             parts.concat()
         };
+        drop(rtp_rows);
+
+        // Freeze one slot per stream. The RTCP and QUIC lists belong to the
+        // conversation, so they are gathered by canonical key first and then
+        // copied into both directions' slots.
+        let mut slots: Vec<StreamSlot> = streams.iter().map(|_| StreamSlot::default()).collect();
+        let mut rtp_ssrcs: HashMap<FiveTuple, HashSet<u32>> = HashMap::new();
         for key in valid_keys {
-            let stream = streams[(key >> 32) as usize];
-            let ssrc = key as u32;
-            ctx.valid_rtp_groups.entry(stream).or_default().push(ssrc);
-            ctx.rtp_ssrcs.entry(stream.canonical()).or_default().insert(ssrc);
+            let (sid, ssrc) = ((key >> 32) as usize, key as u32);
+            slots[sid].rtp.push(ssrc);
+            rtp_ssrcs.entry(streams[sid].canonical()).or_default().insert(ssrc);
         }
-        for ((stream, message_type), n) in legacy {
+        for ((sid, message_type), n) in legacy {
             if n >= 2 {
-                ctx.legacy_stun_groups.entry(stream).or_default().push(message_type);
+                slots[sid as usize].legacy.push(message_type);
             }
         }
-        // The per-stream lists are searched per candidate with
-        // [`sorted_contains`]; freeze them in sorted order (which also makes
-        // the legacy lists deterministic despite HashMap iteration).
-        for v in ctx.valid_rtp_groups.values_mut() {
-            v.sort_unstable();
+        let mut conversation_cids: HashMap<FiveTuple, Vec<CidBuf>> = HashMap::new();
+        for (sid, cid) in quic_cids {
+            conversation_cids.entry(streams[sid as usize].canonical()).or_default().push(cid);
         }
-        for v in ctx.legacy_stun_groups.values_mut() {
-            v.sort_unstable();
+        for (stream, slot) in streams.iter().zip(&mut slots) {
+            let conversation = stream.canonical();
+            if let Some(ssrcs) = rtp_ssrcs.get(&conversation) {
+                slot.rtcp_ssrcs.extend(ssrcs);
+            }
+            if let Some(cids) = conversation_cids.get(&conversation) {
+                slot.quic_cids.extend(cids);
+            }
+            // Sorted for `sorted_contains`, and so that the slots do not
+            // depend on hash iteration order.
+            slot.rtp.sort_unstable();
+            slot.legacy.sort_unstable();
+            slot.rtcp_ssrcs.sort_unstable();
+            slot.quic_cids.sort_unstable();
+            slot.quic_cids.dedup();
         }
-        ctx
+        ValidationContext { slot_of: stream_ids, slots, rtp_ssrcs }
     }
 }
 
@@ -321,69 +341,77 @@ fn scan_groups(rows: &[RtpRow], min_group: usize, max_gap: u16) -> Vec<u64> {
     valid
 }
 
-/// Reusable per-thread scratch for [`bucket_sort_rows`]: the 256 KiB count
-/// table and the scatter target survive between calls, so a steady-state
-/// `finish` performs no sort allocations at all (the swap below leaves the
-/// previous row buffer behind as the next call's scatter target).
-struct SortScratch {
-    counts: Vec<u32>,
-    aux: Vec<RtpRow>,
-}
+/// Buckets of [`bucket_sort_rows`]: one per value of the low 16 SSRC bits.
+const BUCKETS: usize = 1 << 16;
 
 thread_local! {
-    static SORT_SCRATCH: RefCell<SortScratch> = const { RefCell::new(SortScratch { counts: Vec::new(), aux: Vec::new() }) };
+    /// [`bucket_sort_rows`]'s 256 KiB count table, reused across calls.
+    static BUCKET_COUNTS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Sort RTP rows so equal packed `stream_id << 32 | ssrc` keys are
-/// contiguous and each run is internally in full lexicographic tuple order:
-/// one counting-sort scatter over the low 16 SSRC bits, then a comparison
+/// contiguous and each run is internally in full lexicographic tuple order,
+/// dropping every row whose group cannot reach `min_group` by bucket
+/// count alone.
+///
+/// One counting-sort scatter over the low 16 SSRC bits, then a comparison
 /// sort inside each tiny bucket. Noise keys are near-uniform over the
 /// buckets (mean occupancy ~1) while a real media stream's rows land in one
 /// bucket already grouped, so the per-bucket sorts touch almost nothing —
 /// about half the cost of a multi-pass radix at this volume, and far below
-/// the global comparison sort. The count table and scatter buffer come from
-/// a thread-local [`SortScratch`] instead of being allocated per call.
-fn bucket_sort_rows(rows: &mut Vec<RtpRow>) {
-    const BUCKETS: usize = 1 << 16;
+/// the global comparison sort.
+///
+/// A `(stream, SSRC)` group lies inside one bucket, so a bucket holding
+/// fewer than `min_group` rows holds no group that [`scan_groups`] could
+/// accept. Such buckets are neither scattered nor sorted, and the rows
+/// handed back are only those that can still validate: the accepted keys
+/// are exactly those of the unpruned sort, in the same order.
+fn bucket_sort_rows(rows: &mut Vec<RtpRow>, min_group: usize) {
     if rows.len() < 64 {
         rows.sort_unstable();
         return;
     }
-    SORT_SCRATCH.with(|scratch| {
-        let scratch = &mut *scratch.borrow_mut();
-        if scratch.counts.len() != BUCKETS {
-            scratch.counts = vec![0u32; BUCKETS];
+    BUCKET_COUNTS.with(|counts| {
+        let counts = &mut *counts.borrow_mut();
+        if counts.len() != BUCKETS {
+            *counts = vec![0u32; BUCKETS];
         } else {
-            scratch.counts.fill(0);
+            counts.fill(0);
         }
-        let counts = &mut scratch.counts;
         for r in rows.iter() {
             counts[r.0 as usize & (BUCKETS - 1)] += 1;
         }
-        let mut sum = 0u32;
+        // Bucket starts in the kept output; a pruned bucket gets the
+        // sentinel `u32::MAX` and is skipped by the scatter.
+        let mut kept = 0u32;
         for c in counts.iter_mut() {
             let n = *c;
-            *c = sum;
-            sum += n;
+            if (n as usize) < min_group.max(1) {
+                *c = u32::MAX;
+            } else {
+                *c = kept;
+                kept += n;
+            }
         }
-        scratch.aux.clear();
-        scratch.aux.resize(rows.len(), (0, 0, 0, 0));
+        let mut out: Vec<RtpRow> = vec![(0, 0, 0, 0); kept as usize];
         for r in rows.iter() {
             let b = r.0 as usize & (BUCKETS - 1);
-            scratch.aux[counts[b] as usize] = *r;
-            counts[b] += 1;
+            if counts[b] != u32::MAX {
+                out[counts[b] as usize] = *r;
+                counts[b] += 1;
+            }
         }
-        std::mem::swap(rows, &mut scratch.aux);
-        // After the scatter `counts[b]` is bucket b's end; the previous
-        // bucket's end is its start. Equal keys can never span buckets.
+        // After the scatter a kept bucket's entry is its end; the previous
+        // kept bucket's end is its start. Equal keys never span buckets.
         let mut start = 0usize;
-        for &end in counts.iter() {
+        for &end in counts.iter().filter(|&&e| e != u32::MAX) {
             let end = end as usize;
             if end - start > 1 {
-                rows[start..end].sort_unstable();
+                out[start..end].sort_unstable();
             }
             start = end;
         }
+        *rows = out;
     });
 }
 
@@ -407,7 +435,8 @@ pub fn resolve_datagram(d: &Datagram, candidates: &[Candidate], ctx: &Validation
     }
 
     let payload = &d.payload;
-    let view = ctx.stream_view(d.five_tuple);
+    // One stream-key hash per datagram, and none for candidate-free ones.
+    let slot = if candidates.is_empty() { &EMPTY_SLOT } else { ctx.slot(&d.five_tuple) };
     let mut accepted: Vec<Accepted> = Vec::new();
     let mut free = 0usize; // next unclaimed top-level byte
     let mut container: Option<(usize, usize)> = None; // nested-allowed region
@@ -419,20 +448,20 @@ pub fn resolve_datagram(d: &Datagram, candidates: &[Candidate], ctx: &Validation
 
     for c in candidates {
         // --- Validation (step 2) -----------------------------------------
-        let pre_valid = match &c.kind {
+        let pre_valid = match c.kind {
             // Modern STUN: the 32-bit magic cookie is decisive on its own.
             CandidateKind::Stun { modern: true, .. } => true,
             // Classic (cookie-less) STUN: exact cover + clean TLV walk at
             // extraction, plus repetition — the paper pairs transactions to
             // the same end; a single structural match of the weak RFC 3489
             // header is not trustworthy.
-            CandidateKind::Stun { modern: false, message_type } => sorted_contains(view.legacy, *message_type),
+            CandidateKind::Stun { modern: false, message_type } => sorted_contains(&slot.legacy, message_type),
             CandidateKind::ChannelData { .. } => true, // exact-length at extraction
-            CandidateKind::Rtp { ssrc, .. } => sorted_contains(view.rtp, *ssrc),
+            CandidateKind::Rtp { ssrc, .. } => sorted_contains(&slot.rtp, ssrc),
             CandidateKind::Rtcp { .. } => {
-                let body = &payload[c.offset + 4..c.offset + c.len];
+                let body = &payload[c.start() + 4..c.end()];
                 let ssrc = (body.len() >= 4).then(|| u32::from_be_bytes([body[0], body[1], body[2], body[3]]));
-                view.rtcp_ssrc_valid(ssrc)
+                slot.rtcp_ssrc_valid(ssrc)
                     // Compound continuation: an RTCP packet that starts
                     // exactly where the most recently accepted RTCP message
                     // ends belongs to the same compound — whether that
@@ -445,36 +474,37 @@ pub fn resolve_datagram(d: &Datagram, candidates: &[Candidate], ctx: &Validation
                     // compound, wherever the previous message sat.
                     || accepted
                         .last()
-                        .is_some_and(|a| matches!(a.kind, CandidateKind::Rtcp { .. }) && a.offset + a.len == c.offset)
+                        .is_some_and(|a| matches!(a.kind, CandidateKind::Rtcp { .. }) && a.offset + a.len == c.start())
             }
             CandidateKind::QuicLong { .. } => true,
-            CandidateKind::QuicShortProbe => view.quic_short_valid(payload),
+            CandidateKind::QuicShortProbe => slot.quic_short_valid(payload),
         };
         if !pre_valid {
             continue;
         }
+        let (offset, end) = (c.start(), c.end());
 
         // --- Overlap / nesting resolution (step 3) ------------------------
         if let Some((_, de)) = container {
-            if c.offset >= nested_free && c.end() <= de {
-                if c.offset > nested_free {
+            if offset >= nested_free && end <= de {
+                if offset > nested_free {
                     // Unclaimed container bytes before this nested message:
                     // proprietary framing inside the container (§4.1.2) —
                     // both before the first nested message and between
                     // nested messages.
                     container_gap = true;
                     if nested_gap == 0 {
-                        nested_gap = c.offset;
+                        nested_gap = offset;
                     }
                 }
                 container_nested += 1;
-                nested_free = c.end();
-                accepted.push(Accepted { kind: c.kind.clone(), offset: c.offset, len: c.len, nested: true });
+                nested_free = end;
+                accepted.push(Accepted { kind: c.kind, offset, len: c.len as usize, nested: true });
                 continue;
             }
         }
-        if c.offset >= free {
-            if c.offset > free && !accepted.is_empty() {
+        if offset >= free {
+            if offset > free && !accepted.is_empty() {
                 gap_in_middle = true;
             }
             // Closing the previous container: bytes between its last nested
@@ -489,15 +519,15 @@ pub fn resolve_datagram(d: &Datagram, candidates: &[Candidate], ctx: &Validation
                 }
             }
             // New containers: ChannelData payloads and STUN DATA attributes.
-            container = match (&c.kind, c.data_attr) {
-                (CandidateKind::ChannelData { .. }, _) => Some((c.offset + 4, c.end())),
-                (CandidateKind::Stun { .. }, Some((s, e))) => Some((c.offset + s, c.offset + e)),
+            container = match (c.kind, c.data_attr) {
+                (CandidateKind::ChannelData { .. }, _) => Some((offset + 4, end)),
+                (CandidateKind::Stun { .. }, Some((s, e))) => Some((offset + s as usize, offset + e as usize)),
                 _ => None,
             };
             container_nested = 0;
             nested_free = container.map(|(s, _)| s).unwrap_or(0);
-            free = c.end();
-            accepted.push(Accepted { kind: c.kind.clone(), offset: c.offset, len: c.len, nested: false });
+            free = end;
+            accepted.push(Accepted { kind: c.kind, offset, len: c.len as usize, nested: false });
             continue;
         }
         // Overlap with the previous top-level message: only RTP-after-RTP
@@ -511,14 +541,14 @@ pub fn resolve_datagram(d: &Datagram, candidates: &[Candidate], ctx: &Validation
             !a.nested
                 && matches!(a.kind, CandidateKind::Rtp { .. })
                 && matches!(c.kind, CandidateKind::Rtp { .. })
-                && c.offset >= a.offset + rtc_wire::rtp::MIN_HEADER_LEN
-                && rtc_wire::rtp::Packet::new_checked(&payload[a.offset..c.offset]).is_ok()
+                && offset >= a.offset + rtc_wire::rtp::MIN_HEADER_LEN
+                && rtc_wire::rtp::Packet::new_checked(&payload[a.offset..offset]).is_ok()
         });
         if truncatable {
             let prev = accepted.last_mut().expect("just matched");
-            prev.len = c.offset - prev.offset;
-            free = c.end();
-            accepted.push(Accepted { kind: c.kind.clone(), offset: c.offset, len: c.len, nested: false });
+            prev.len = offset - prev.offset;
+            free = end;
+            accepted.push(Accepted { kind: c.kind, offset, len: c.len as usize, nested: false });
         }
         // Otherwise: overlapping candidate, dropped.
     }
@@ -554,7 +584,6 @@ pub fn resolve_datagram(d: &Datagram, candidates: &[Candidate], ctx: &Validation
     let prop_header_len = if prefix > 0 { prefix } else { nested_gap };
     let prefix_end = accepted.iter().find(|a| !a.nested).map(|a| a.offset).unwrap_or(payload.len());
 
-    // Built last so the accepted kinds move instead of cloning again.
     let messages: Vec<DpiMessage> = accepted
         .into_iter()
         .map(|a| DpiMessage {
@@ -615,7 +644,7 @@ mod tests {
             .collect();
         let mut expect = rows.clone();
         expect.sort_unstable();
-        bucket_sort_rows(&mut rows);
+        bucket_sort_rows(&mut rows, 0);
         // Same multiset, equal keys contiguous and internally tuple-sorted.
         let mut seen: Vec<u64> = Vec::new();
         let mut i = 0;
@@ -635,10 +664,10 @@ mod tests {
         let mut resorted = rows.clone();
         resorted.sort_unstable();
         assert_eq!(resorted, expect);
-        // Scratch reuse: a second sort through the same thread-local arena
-        // must be just as correct.
+        // Count-table reuse: a second sort through the same thread-local
+        // table must be just as correct.
         let mut rows2: Vec<RtpRow> = (0..150u32).map(|i| ((i % 4) as u64, i, i as u16, 0)).collect();
-        bucket_sort_rows(&mut rows2);
+        bucket_sort_rows(&mut rows2, 0);
         assert!(rows2.windows(2).all(|w| w[0] <= w[1]));
     }
 
@@ -677,7 +706,7 @@ mod tests {
         for threads in [1usize, 2, 3, 7, 16] {
             let ctx = build(threads);
             for (i, t) in tuples.iter().enumerate() {
-                let valid = ctx.valid_rtp_groups.get(t).unwrap_or_else(|| panic!("stream {i} missing"));
+                let valid = &ctx.slot(t).rtp;
                 assert!(valid.contains(&ssrcs[i]), "threads {threads}: stream {i} lost ssrc {:#x}", ssrcs[i]);
                 assert!(valid.windows(2).all(|w| w[0] < w[1]), "unsorted ssrc list");
             }
@@ -715,11 +744,85 @@ mod tests {
             })
             .collect();
         let serial = &contexts[0];
-        assert!(!serial.valid_rtp_groups.is_empty(), "test must validate something");
+        assert!(!serial.slot(&tuple).rtp.is_empty(), "test must validate something");
         for (i, ctx) in contexts.iter().enumerate().skip(1) {
-            assert_eq!(ctx.valid_rtp_groups, serial.valid_rtp_groups, "context {i}");
+            assert_eq!(ctx.slot_of, serial.slot_of, "context {i}");
+            assert_eq!(ctx.slots, serial.slots, "context {i}");
             assert_eq!(ctx.rtp_ssrcs, serial.rtp_ssrcs, "context {i}");
         }
+    }
+
+    /// Bucket pruning is exact: `finish` keeps the same valid groups as an
+    /// unpruned `sort_unstable` + `scan_groups` reference, on row tables
+    /// whose SSRCs are forced to share a few low-16-bit buckets — so kept
+    /// and pruned buckets both hold several streams' and SSRCs' groups —
+    /// at every `rtp_min_group` the pruning threshold can take.
+    #[test]
+    fn pruned_finish_matches_unpruned_reference() {
+        let tuples: Vec<FiveTuple> = (0..3)
+            .map(|i| {
+                FiveTuple::udp(format!("10.0.0.{}:1000", i + 1).parse().unwrap(), "1.2.3.4:2000".parse().unwrap())
+            })
+            .collect();
+        rtc_conformance::check_cases("pruned_finish_matches_unpruned_reference", 96, |rng| {
+            let lows = [rng.in_range(0..=0xFFFFu32), rng.in_range(0..=0xFFFFu32)];
+            // Per-row (stream, ssrc, seq, first byte) draws, grouped first and
+            // then shuffled into arrival order.
+            let mut draws: Vec<(u32, u32, u16, u8)> = Vec::new();
+            for _ in 0..rng.in_range(1..=24usize) {
+                let sid = rng.below(tuples.len()) as u32;
+                let ssrc = (rng.below(4) as u32) << 16 | lows[rng.below(lows.len())];
+                let continuous = rng.below(4) != 0;
+                let mut seq = rng.next_u64() as u16;
+                for _ in 0..rng.in_range(1..=12usize) {
+                    seq = if continuous { seq.wrapping_add(rng.in_range(1..=3u16)) } else { rng.next_u64() as u16 };
+                    let byte = if rng.below(8) == 0 { rng.next_u64() as u8 } else { 0x80 };
+                    draws.push((sid, ssrc, seq, byte));
+                }
+            }
+            // Offset-aliasing noise: lone rows, some in the forced buckets.
+            for _ in 0..rng.in_range(0..=80usize) {
+                let ssrc =
+                    if rng.below(3) == 0 { lows[0] | (rng.next_u64() as u32) << 16 } else { rng.next_u64() as u32 };
+                draws.push((rng.below(tuples.len()) as u32, ssrc, rng.next_u64() as u16, rng.next_u64() as u8));
+            }
+            for i in (1..draws.len()).rev() {
+                draws.swap(i, rng.below(i + 1));
+            }
+            let rows: Vec<RtpRow> = draws
+                .iter()
+                .enumerate()
+                .map(|(i, &(sid, ssrc, seq, byte))| ((sid as u64) << 32 | ssrc as u64, i as u32, seq, byte))
+                .collect();
+            for min_group in [0usize, 1, 2, 5, 8] {
+                let config = DpiConfig { rtp_min_group: min_group, ..DpiConfig::default() };
+                let mut sorted = rows.clone();
+                sorted.sort_unstable();
+                let mut expect = vec![Vec::new(); tuples.len()];
+                for key in scan_groups(&sorted, min_group, config.rtp_max_seq_gap) {
+                    expect[(key >> 32) as usize].push(key as u32);
+                }
+                for threads in [1usize, 3] {
+                    let builder = ContextBuilder {
+                        stream_ids: tuples.iter().enumerate().map(|(i, t)| (*t, i as u32)).collect(),
+                        streams: tuples.clone(),
+                        rtp_rows: rows.clone(),
+                        ..ContextBuilder::new(&config)
+                    };
+                    let ctx = builder.finish_with_threads(threads);
+                    for (sid, t) in tuples.iter().enumerate() {
+                        let mut want = expect[sid].clone();
+                        want.sort_unstable();
+                        assert_eq!(ctx.slot(t).rtp, want, "min_group {min_group}, threads {threads}, stream {sid}");
+                    }
+                    let mut want: HashMap<FiveTuple, HashSet<u32>> = HashMap::new();
+                    for (t, ssrcs) in tuples.iter().zip(&expect).filter(|(_, v)| !v.is_empty()) {
+                        want.entry(t.canonical()).or_default().extend(ssrcs);
+                    }
+                    assert_eq!(ctx.rtp_ssrcs, want, "min_group {min_group}, threads {threads}");
+                }
+            }
+        });
     }
 
     /// A gap between two nested messages, or after the last nested message,

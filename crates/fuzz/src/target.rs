@@ -318,7 +318,7 @@ fn run_datagram(bytes: &[u8]) -> RunOutcome {
     for max_offset in [0, 3, 200] {
         for c in rtc_dpi::extract_candidates(bytes, max_offset) {
             assert!(
-                c.end() <= bytes.len() && c.offset <= max_offset,
+                c.end() <= bytes.len() && c.start() <= max_offset,
                 "candidate {c:?} escapes a {}-byte payload at max offset {max_offset}",
                 bytes.len()
             );

@@ -22,7 +22,7 @@ use bytes::Bytes;
 use rtc_conformance::{minimize_input, Parser};
 use rtc_core::capture::{run_experiment, save_experiment, ExperimentConfig};
 use rtc_core::compliance::{check_message, context::CallContext, CheckedMessage};
-use rtc_core::dpi::{CandidateKind, CidBuf, DatagramClass, DatagramDissection, DpiConfig, DpiMessage, Protocol};
+use rtc_core::dpi::{CandidateKind, DatagramClass, DatagramDissection, DpiConfig, DpiMessage, Protocol};
 use rtc_core::pcap::Timestamp;
 use rtc_core::report::json::study_to_json;
 use rtc_core::wire::ip::FiveTuple;
@@ -206,7 +206,7 @@ fn both_judge(
 ) -> ((String, Option<u8>), (String, Option<u8>)) {
     let msg = DpiMessage {
         protocol: protocol_of(kind),
-        kind: kind.clone(),
+        kind: *kind,
         offset: 0,
         data: Bytes::from(data.to_vec()),
         nested: false,
@@ -413,9 +413,7 @@ fn prod_judge_parser(parser: Parser, bytes: &[u8]) -> (String, Option<u8>) {
         Parser::Rtp => CandidateKind::Rtp { ssrc: 0, payload_type: 0, seq: 0 },
         Parser::Rtcp => CandidateKind::Rtcp { packet_type: 0, count: 0 },
         Parser::Quic => match bytes.first() {
-            Some(b) if b & 0x80 != 0 => {
-                CandidateKind::QuicLong { version: 0, dcid: CidBuf::EMPTY, scid: CidBuf::EMPTY }
-            }
+            Some(b) if b & 0x80 != 0 => CandidateKind::QuicLong { version: 0 },
             _ => CandidateKind::QuicShortProbe,
         },
     };

@@ -253,7 +253,7 @@ pub fn extract_candidates(payload: &[u8], max_offset: usize) -> Vec<Candidate> {
 /// target's bulk sweep ([`scan::ScanMode::active`] names it).
 pub fn extract_into(payload: &[u8], max_offset: usize, out: &mut Vec<Candidate>) {
     extract_into_bulk(payload, max_offset, out, |first, last, out| {
-        scan::bulk_sweep(payload, first, last, |i, hit| dispatch_hit(payload, i, hit, out))
+        scan::bulk_sweep(payload, first, last, |base, rtp, other| dispatch_block(payload, base, rtp, other, out))
     });
 }
 
@@ -288,73 +288,70 @@ fn extract_into_bulk(
     }
 }
 
-/// Dispatch one swept offset using the class tag the sweep derived
-/// in-vector — no first/second-byte re-derivation, and `RtpPlain` hits are
-/// already fully gated (the sweep proved 12 readable bytes and a first
-/// byte with no CSRCs, extension or padding).
+/// Dispatch one swept block. Bit `j` of `rtp` or `other` stands for
+/// offset `base + j` (see [`crate::scan`]): `rtp` lanes are exactly the
+/// version-2 offsets whose second byte is outside the RTCP range, each
+/// with at least 12 readable bytes; `other` lanes passed the STUN, RTCP or
+/// QUIC class gate.
 #[inline]
-fn dispatch_hit(payload: &[u8], i: usize, hit: scan::Hit, out: &mut Vec<Candidate>) {
-    let tail = &payload[i..];
-    match hit {
-        scan::Hit::Stun => {
-            if stun_prefilter(tail) {
-                if let Some(c) = match_stun(tail, i) {
-                    out.push(c);
-                }
-            }
+fn dispatch_block(payload: &[u8], base: usize, rtp: u32, other: u32, out: &mut Vec<Candidate>) {
+    if other == 0 {
+        // RTP lanes only, the common block: no class to decide, and the
+        // length gate is branch-free.
+        let mut lanes = rtp;
+        while lanes != 0 {
+            let i = base + lanes.trailing_zeros() as usize;
+            push_rtp_lane(&payload[i..], i, out);
+            lanes &= lanes - 1;
         }
-        scan::Hit::Rtcp => {
-            if rtcp_prefilter(tail) {
-                if let Some(c) = match_rtcp(tail, i) {
-                    out.push(c);
-                }
-            }
-        }
-        scan::Hit::RtpPlain => {
-            debug_assert!(tail.len() >= 12 && tail[0] & 0x3F == 0);
-            out.push(rtp_candidate(tail, i));
-        }
-        scan::Hit::Rtp => {
-            if tail.len() >= 12 && rtp_gate(tail) {
-                out.push(rtp_candidate(tail, i));
-            }
-        }
-        scan::Hit::Quic => {
-            if let Some(c) = match_quic_long(tail, i) {
-                out.push(c);
-            }
+    } else {
+        // Mixed block: every lane in offset order, through the exact
+        // per-offset dispatcher.
+        let mut lanes = rtp | other;
+        while lanes != 0 {
+            dispatch_gated(payload, base + lanes.trailing_zeros() as usize, out);
+            lanes &= lanes - 1;
         }
     }
 }
 
-/// Fused RTP length/version gate: the same checks as [`match_rtp`] /
+/// Push the RTP candidate at `i` if [`rtp_gate`] admits `tail`. The
+/// candidate is written unconditionally and cut off again on reject, so an
+/// RTP lane costs no data-dependent branch. Caller guarantees
+/// `tail.len() >= 12` and a version-2 first byte.
+#[inline(always)]
+fn push_rtp_lane(tail: &[u8], i: usize, out: &mut Vec<Candidate>) {
+    let ok = rtp_gate(tail);
+    if ok {
+        rtc_cov::probe!("dpi.match.rtp");
+    }
+    let n = out.len();
+    out.push(rtp_candidate(tail, i));
+    out.truncate(n + ok as usize);
+}
+
+/// Fused RTP length gate, branch-free: the same checks as [`match_rtp`] /
 /// `rtp::Packet::new_checked` (header + CSRCs + declared extension fit,
-/// sane padding trailer), reading each header byte once — this is the
-/// hottest dispatch path, and the general parser re-derives what the gate
-/// already knows. Caller guarantees `tail.len() >= 12`.
+/// sane padding trailer) on a version-2 `tail` of at least 12 bytes.
+///
+/// The extension-length word is read unconditionally, at an index clamped
+/// into the tail. The clamp only bites when the extension header does not
+/// fit, and then `header_len` exceeds the tail whatever the word says.
 #[inline(always)]
 fn rtp_gate(tail: &[u8]) -> bool {
+    let len = tail.len();
     let b0 = tail[0];
-    let mut header_len = RTP_HEADER_LEN[(b0 & 0x0F) as usize] as usize;
-    let mut ok = tail.len() >= header_len;
-    if ok && b0 & 0x10 != 0 {
-        ok = tail.len() >= header_len + 4 && {
-            let words = u16::from_be_bytes([tail[header_len + 2], tail[header_len + 3]]) as usize;
-            header_len += 4 + 4 * words;
-            tail.len() >= header_len
-        };
-    }
-    if ok && b0 & 0x20 != 0 {
-        let pad = tail[tail.len() - 1] as usize;
-        ok = pad != 0 && header_len + pad <= tail.len();
-    }
-    ok
+    let fixed = 12 + 4 * (b0 & 0x0F) as usize;
+    let at = (fixed + 2).min(len - 2);
+    let words = u16::from_be_bytes([tail[at], tail[at + 1]]) as usize;
+    let header_len = fixed + ((b0 >> 4) & 1) as usize * (4 + 4 * words);
+    let pad = tail[len - 1] as usize;
+    (header_len <= len) & ((b0 & 0x20 == 0) | ((pad != 0) & (header_len + pad <= len)))
 }
 
-/// Build the accepted-RTP candidate (an RTP message claims the whole tail).
+/// Build the RTP candidate at `i` (an RTP message claims the whole tail).
 #[inline(always)]
 fn rtp_candidate(tail: &[u8], i: usize) -> Candidate {
-    rtc_cov::probe!("dpi.match.rtp");
     Candidate::at(
         i,
         tail.len(),
@@ -411,7 +408,7 @@ fn extract_at_zero(payload: &[u8], out: &mut Vec<Candidate>) {
 /// Validate one swept (or tail) offset `i >= 1` and push its candidate.
 /// Demux-01 classes never reach here (they only exist at offset 0); the
 /// remaining classes re-derive from the top two bits, then run cheap
-/// table-driven length gates before entering the full matcher.
+/// length gates before entering the full matcher.
 #[inline]
 fn dispatch_gated(payload: &[u8], i: usize, out: &mut Vec<Candidate>) {
     let tail = &payload[i..];
@@ -428,8 +425,8 @@ fn dispatch_gated(payload: &[u8], i: usize, out: &mut Vec<Candidate>) {
                         out.push(c);
                     }
                 }
-            } else if tail.len() >= 12 && rtp_gate(tail) {
-                out.push(rtp_candidate(tail, i));
+            } else if tail.len() >= 12 {
+                push_rtp_lane(tail, i, out);
             }
         }
         0b11 => {
@@ -440,10 +437,6 @@ fn dispatch_gated(payload: &[u8], i: usize, out: &mut Vec<Candidate>) {
         _ => {}
     }
 }
-
-/// Fixed RTP header length (12 bytes + 4 per CSRC) by the first byte's low
-/// nibble — the table-driven length gate of the RTP hot path.
-static RTP_HEADER_LEN: [u8; 16] = [12, 16, 20, 24, 28, 32, 36, 40, 44, 48, 52, 56, 60, 64, 68, 72];
 
 /// Necessary conditions for [`match_stun`] to accept, checked branch-lean
 /// before the full header parse + TLV walk: room for the header, 4-byte
@@ -735,7 +728,7 @@ pub fn explain_rejection(payload: &[u8]) -> Option<WireError> {
 /// fail stream validation (seq continuity, SSRC cross-check, CID match…).
 ///
 /// Returns a `Cow` so the (frequent) static keys cost no allocation.
-/// Dissection itself tallies [`Rejection`]s and spells each distinct key
+/// Dissection itself tallies `Rejection`s and spells each distinct key
 /// out once per call.
 pub fn rejection_key(payload: &[u8]) -> Cow<'static, str> {
     Rejection::of(payload).key()
@@ -934,6 +927,45 @@ mod tests {
         assert_eq!(rejection_key(&[]), "empty payload");
     }
 
+    #[test]
+    fn branch_free_rtp_gate_agrees_with_the_parser() {
+        // Every version-2 first byte (CSRC count, extension and padding
+        // bits), at tail lengths on each side of the CSRC, extension-header,
+        // extension-body and padding boundaries, with extension lengths 0,
+        // 1, 2, the u16 overflow edge of `4 * words` and the maximum.
+        for b0 in 0x80u8..=0xBF {
+            let fixed = 12 + 4 * (b0 & 0x0F) as usize;
+            for words in [0u16, 1, 2, 0x3FFF, 0x4000, 0xFFFF] {
+                let body = fixed + 4 + 4 * words as usize;
+                let mut lens: Vec<usize> = [12, fixed, fixed + 4, body, body + 1, body + 255]
+                    .iter()
+                    .flat_map(|&b| [b.saturating_sub(1), b, b + 1])
+                    .filter(|&len| len >= 12)
+                    .collect();
+                lens.sort_unstable();
+                lens.dedup();
+                for len in lens {
+                    let header_len = if b0 & 0x10 != 0 { body } else { fixed };
+                    let exact = len.saturating_sub(header_len).min(255) as u8;
+                    for pad in [0u8, 1, exact, exact.saturating_add(1), 255] {
+                        let mut tail = vec![0x5Au8; len];
+                        tail[0] = b0;
+                        tail[1] = 0x60; // payload type 96: outside the RTCP range
+                        if fixed + 4 <= len {
+                            tail[fixed + 2..fixed + 4].copy_from_slice(&words.to_be_bytes());
+                        }
+                        tail[len - 1] = pad;
+                        assert_eq!(
+                            rtp_gate(&tail),
+                            match_rtp(&tail, 0).is_some(),
+                            "b0={b0:#04x} words={words} len={len} pad={pad}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     // ---- fast-path machinery ----------------------------------------------
 
     #[test]
@@ -1006,7 +1038,7 @@ mod tests {
     fn extract_swar_only(payload: &[u8], max_offset: usize) -> Vec<Candidate> {
         let mut out = Vec::new();
         extract_into_bulk(payload, max_offset, &mut out, |first, last, out| {
-            scan::swar_sweep(payload, first, last, |i, hit| dispatch_hit(payload, i, hit, out))
+            scan::swar_sweep(payload, first, last, |base, rtp, other| dispatch_block(payload, base, rtp, other, out))
         });
         out
     }

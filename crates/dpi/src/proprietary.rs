@@ -16,7 +16,7 @@
 
 use crate::{CallDissection, DatagramClass};
 use rtc_wire::ip::FiveTuple;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// What a byte position in the header region looks like across a stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,7 +33,7 @@ pub enum FieldKind {
 }
 
 /// The inferred profile of one stream's proprietary header region.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeaderProfile {
     /// The stream.
     pub stream: FiveTuple,
@@ -139,51 +139,57 @@ pub fn profile_streams(dissection: &CallDissection, min_observations: usize) -> 
         let min_len = obs.iter().map(|r| r.len()).min().unwrap_or(0);
         let max_len = obs.iter().map(|r| r.len()).max().unwrap_or(0);
         let depth = min_len.min(PROFILE_DEPTH);
-        let mut fields = Vec::with_capacity(depth);
-        for pos in 0..depth {
-            let values: Vec<u8> = obs.iter().map(|r| r[pos]).collect();
-            let distinct: HashSet<u8> = values.iter().copied().collect();
-            // Counter test first — on the 16-bit word at [pos, pos+2): a
-            // strong majority of consecutive deltas must be small and
-            // positive. This takes precedence because the high byte of a
-            // slow counter looks constant on its own.
-            if pos + 1 < depth && obs.len() >= 4 {
-                let words: Vec<u16> = obs.iter().map(|r| u16::from_be_bytes([r[pos], r[pos + 1]])).collect();
-                let increasing = words
-                    .windows(2)
-                    .filter(|w| {
-                        let d = w[1].wrapping_sub(w[0]);
-                        (1..=256).contains(&d)
-                    })
-                    .count();
-                if increasing * 4 >= (words.len() - 1) * 3 {
-                    fields.push(FieldKind::Counter);
-                    continue;
-                }
-            }
-            if distinct.len() == 1 {
-                fields.push(FieldKind::Constant(values[0]));
-            } else if distinct.len() <= 4 && obs.len() >= distinct.len() * 2 {
-                let mut vs: Vec<u8> = distinct.into_iter().collect();
-                vs.sort_unstable();
-                fields.push(FieldKind::LowCardinality(vs));
-            } else {
-                fields.push(FieldKind::Varying);
-            }
-        }
+        let fields = (0..depth).map(|pos| field_kind(&obs, pos, depth)).collect();
         out.push(HeaderProfile { stream, observations: obs.len(), min_len, max_len, fields });
     }
     out
 }
 
+/// Classify byte position `pos` across a stream's observations, each at
+/// least `depth` bytes long.
+fn field_kind(obs: &[&[u8]], pos: usize, depth: usize) -> FieldKind {
+    // Counter test first — on the 16-bit word at [pos, pos+2): a strong
+    // majority of consecutive deltas must be small and positive. This
+    // takes precedence because the high byte of a slow counter looks
+    // constant on its own.
+    if pos + 1 < depth && obs.len() >= 4 {
+        let word = |r: &[u8]| u16::from_be_bytes([r[pos], r[pos + 1]]);
+        let increasing = obs.windows(2).filter(|w| (1..=256).contains(&word(w[1]).wrapping_sub(word(w[0])))).count();
+        if increasing * 4 >= (obs.len() - 1) * 3 {
+            return FieldKind::Counter;
+        }
+    }
+    // Distinct values, up to the fifth, which already makes it Varying.
+    let mut seen = [false; 256];
+    let mut distinct = 0;
+    for r in obs {
+        let b = r[pos] as usize;
+        if !seen[b] {
+            seen[b] = true;
+            distinct += 1;
+            if distinct > 4 {
+                return FieldKind::Varying;
+            }
+        }
+    }
+    if distinct == 1 {
+        FieldKind::Constant(obs[0][pos])
+    } else if obs.len() >= distinct * 2 {
+        FieldKind::LowCardinality((0..=255u8).filter(|&b| seen[b as usize]).collect())
+    } else {
+        FieldKind::Varying
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dissect_call, DpiConfig};
+    use crate::{dissect_call, DatagramDissection, DpiConfig};
     use bytes::Bytes;
     use rtc_pcap::trace::Datagram;
     use rtc_pcap::Timestamp;
     use rtc_wire::rtp::PacketBuilder;
+    use std::collections::HashSet;
 
     fn dgram(ts_ms: u64, payload: Vec<u8>) -> Datagram {
         Datagram {
@@ -253,5 +259,153 @@ mod tests {
             .collect();
         let dis = dissect_call(&dgrams, &DpiConfig::default());
         assert!(profile_streams(&dis, 2).is_empty());
+    }
+
+    /// The profiler as it was before the seen-table, with a `Vec` and a
+    /// `HashSet` per position: the reference `profile_streams` must match.
+    fn reference_profile_streams(dissection: &CallDissection, min_observations: usize) -> Vec<HeaderProfile> {
+        let mut headers: BTreeMap<FiveTuple, Vec<&[u8]>> = BTreeMap::new();
+        let mut fully: BTreeMap<FiveTuple, Vec<&[u8]>> = BTreeMap::new();
+        for d in &dissection.datagrams {
+            match d.class {
+                DatagramClass::ProprietaryHeader if !d.prefix.is_empty() => {
+                    headers.entry(d.stream).or_default().push(&d.prefix);
+                }
+                DatagramClass::FullyProprietary if !d.prefix.is_empty() => {
+                    fully.entry(d.stream).or_default().push(&d.prefix);
+                }
+                _ => {}
+            }
+        }
+        let mut regions = headers;
+        for (stream, obs) in fully {
+            regions.entry(stream).or_insert(obs);
+        }
+        let mut out = Vec::new();
+        for (stream, obs) in regions {
+            if obs.len() < min_observations {
+                continue;
+            }
+            let min_len = obs.iter().map(|r| r.len()).min().unwrap_or(0);
+            let max_len = obs.iter().map(|r| r.len()).max().unwrap_or(0);
+            let depth = min_len.min(PROFILE_DEPTH);
+            let mut fields = Vec::with_capacity(depth);
+            for pos in 0..depth {
+                let values: Vec<u8> = obs.iter().map(|r| r[pos]).collect();
+                let distinct: HashSet<u8> = values.iter().copied().collect();
+                if pos + 1 < depth && obs.len() >= 4 {
+                    let words: Vec<u16> = obs.iter().map(|r| u16::from_be_bytes([r[pos], r[pos + 1]])).collect();
+                    let increasing = words
+                        .windows(2)
+                        .filter(|w| {
+                            let d = w[1].wrapping_sub(w[0]);
+                            (1..=256).contains(&d)
+                        })
+                        .count();
+                    if increasing * 4 >= (words.len() - 1) * 3 {
+                        fields.push(FieldKind::Counter);
+                        continue;
+                    }
+                }
+                if distinct.len() == 1 {
+                    fields.push(FieldKind::Constant(values[0]));
+                } else if distinct.len() <= 4 && obs.len() >= distinct.len() * 2 {
+                    let mut vs: Vec<u8> = distinct.into_iter().collect();
+                    vs.sort_unstable();
+                    fields.push(FieldKind::LowCardinality(vs));
+                } else {
+                    fields.push(FieldKind::Varying);
+                }
+            }
+            out.push(HeaderProfile { stream, observations: obs.len(), min_len, max_len, fields });
+        }
+        out
+    }
+
+    #[test]
+    fn seen_table_profiler_matches_the_hash_set_reference() {
+        // How often each field kind came out: the generator must reach all four.
+        let mut kinds = [0usize; 4];
+        rtc_conformance::check_cases("seen_table_profiler_matches_the_hash_set_reference", 256, |rng| {
+            let min_observations = [2usize, 4, 5][rng.below(3)];
+            let mut datagrams = Vec::new();
+            for s in 0..rng.in_range(1u8..=3) {
+                let stream = FiveTuple::udp(
+                    format!("10.0.0.{}:1000", s + 1).parse().unwrap(),
+                    "1.2.3.4:2000".parse().unwrap(),
+                );
+                // Observation counts around `min_observations`, the counter
+                // test's 4 and the 8–10 that let 4 or 5 values count as low
+                // cardinality (a profile sees only its class's share of a
+                // stream); prefix lengths around PROFILE_DEPTH.
+                let n = match rng.below(3) {
+                    0 => rng.in_range(8..=16),
+                    _ => rng.in_range(min_observations - 1..=min_observations.max(4) + 1),
+                };
+                let base = match rng.below(3) {
+                    0 => rng.in_range(1..PROFILE_DEPTH),
+                    _ => rng.in_range(PROFILE_DEPTH - 2..=PROFILE_DEPTH + 2),
+                };
+                // One generated column per byte position: constant, 2–5
+                // values, a 16-bit counter over two positions, or random.
+                let width = base + 2;
+                let mut rows = vec![vec![0u8; width]; n];
+                let mut pos = 0;
+                while pos < width {
+                    match rng.below(4) {
+                        0 => {
+                            let c = rng.in_range(0..=255u8);
+                            rows.iter_mut().for_each(|r| r[pos] = c);
+                        }
+                        1 => {
+                            let vals: Vec<u8> = (0..rng.in_range(2..=5)).map(|_| rng.in_range(0..=255u8)).collect();
+                            rows.iter_mut().for_each(|r| r[pos] = vals[rng.below(vals.len())]);
+                        }
+                        2 if pos + 1 < width => {
+                            let mut w = rng.in_range(0..=u16::MAX);
+                            let step = rng.in_range(0..=300u16);
+                            for r in rows.iter_mut() {
+                                r[pos..pos + 2].copy_from_slice(&w.to_be_bytes());
+                                // Mostly steady steps, with an occasional jump.
+                                w = if rng.below(8) == 0 { rng.in_range(0..=u16::MAX) } else { w.wrapping_add(step) };
+                            }
+                            pos += 1;
+                        }
+                        _ => rows.iter_mut().for_each(|r| r[pos] = rng.in_range(0..=255u8)),
+                    }
+                    pos += 1;
+                }
+                for (k, row) in rows.iter().enumerate() {
+                    let len = base + rng.below(3);
+                    let class = match rng.below(5) {
+                        0 => DatagramClass::FullyProprietary,
+                        1 => DatagramClass::Standard,
+                        _ => DatagramClass::ProprietaryHeader,
+                    };
+                    datagrams.push(DatagramDissection {
+                        ts: Timestamp::from_millis(k as u64 * 20),
+                        stream,
+                        payload_len: len,
+                        messages: Vec::new(),
+                        prefix: Bytes::copy_from_slice(&row[..len]),
+                        trailing: Bytes::new(),
+                        class,
+                        prop_header_len: len,
+                    });
+                }
+            }
+            let dissection = CallDissection { datagrams, ..CallDissection::default() };
+            let profiles = profile_streams(&dissection, min_observations);
+            assert_eq!(profiles, reference_profile_streams(&dissection, min_observations));
+            for f in profiles.iter().flat_map(|p| &p.fields) {
+                kinds[match f {
+                    FieldKind::Constant(_) => 0,
+                    FieldKind::LowCardinality(_) => 1,
+                    FieldKind::Counter => 2,
+                    FieldKind::Varying => 3,
+                }] += 1;
+            }
+        });
+        assert!(kinds.iter().all(|&k| k > 0), "a field kind never came out: {kinds:?}");
     }
 }

@@ -25,27 +25,24 @@
 //! | QUIC long    | `b[i]>>6 == 3` ∧ `b[i+1] ∈ {0x00, 0x6b}` (first version byte of v1/v2) |
 //! | ChannelData / QUIC short | offset 0 only — handled scalar, never scanned |
 //!
-//! The union of the three class masks is one `u64` (SWAR: HI bit per lane)
-//! or `u16` (SSE2: `movemask` bit per lane); set bits are iterated in
-//! ascending offset order with `trailing_zeros`, preserving the reference
-//! loop's candidate order exactly.
+//! Each block hands the dispatcher two lane masks, one bit per lane
+//! (SWAR gathers its HI bits into a byte; SSE2's `movemask` already has
+//! that form):
 //!
-//! ## Per-class hit tags
+//! * **`rtp`** — version-2 lanes whose second byte is outside the RTCP
+//!   packet-type range (`b[i+1] ∈ 200..=207` is exactly
+//!   `b[i+1] & 0xF8 == 0xC8`, one masked compare per block). This mask is
+//!   *exact*, and the sweep region guarantees 12 readable bytes past every
+//!   lane, so the dispatcher runs only the RTP length gate on these lanes.
+//! * **`other`** — lanes that passed the STUN, RTCP or QUIC class gate.
+//!   The dispatcher re-derives their class from `b[i] >> 6` and runs the
+//!   exact prefilters and matchers.
 //!
-//! Alongside the union mask, each block keeps per-class masks so the
-//! dispatcher receives a resolved `Hit` instead of re-deriving the
-//! class from the payload byte:
-//!
-//! * `Hit::Rtcp` — demuxed in-vector: `b[i+1] ∈ 200..=207` is exactly
-//!   `b[i+1] & 0xF8 == 0xC8`, one masked compare per block.
-//! * `Hit::RtpPlain` — RTP with `b[i] & 0x3F == 0` (no CSRCs, no
-//!   extension, no padding). The sweep region guarantees 12 readable
-//!   bytes past the offset, so these positions are *complete* gates: the
-//!   dispatcher pushes the candidate without any further length check.
-//! * `Hit::Rtp` — remaining version-2 positions; the dispatcher still
-//!   runs the table-driven header-length/extension/padding gate.
-//! * `Hit::Stun` / `Hit::Quic` — class masks as per the table above;
-//!   the matchers validate as before.
+//! The two masks are disjoint. Set bits are visited in ascending offset
+//! order with `trailing_zeros`, preserving the reference loop's candidate
+//! order exactly. Most blocks hold RTP lanes only: a version-2 first byte
+//! is a quarter of all byte values, while every other gate needs two or
+//! more specific bytes.
 //!
 //! ## Backend selection
 //!
@@ -105,9 +102,9 @@ const HI: u64 = 0x8080_8080_8080_8080;
 /// carry-free form — `(x & !HI) + !HI` keeps every lane below 0x100, so
 /// no carry crosses lanes. The classic `(x - LO) & !x & HI` test is *not*
 /// exact per lane: a zero lane's borrow falsely flags a following `0x01`
-/// lane, which both panicked the fully-gated RTP dispatch and let a bogus
-/// RTCP lane steal an offset from the `class10 ^ rtcp` RTP partition
-/// (a swar-vs-scalar divergence on adversarial payloads).
+/// lane, and the dispatcher trusts the `rtp` lane mask to be exact (a
+/// false lane would be a swar-vs-scalar divergence on adversarial
+/// payloads).
 #[inline(always)]
 fn zero_lanes(x: u64) -> u64 {
     !(((x & !HI).wrapping_add(!HI)) | x) & HI
@@ -150,63 +147,19 @@ fn swar_legacy_mask(w2: u64, w3: u64, base: isize) -> u64 {
     eq_vec(w2, hi) & eq_vec(w3, lo)
 }
 
-/// Which gate admitted a swept offset. The dispatcher trusts this tag
-/// instead of re-deriving the class from payload bytes, and the sweep
-/// resolves the RTP/RTCP second-byte demux (and the fully-gated "plain"
-/// RTP shape) in-vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Hit {
-    /// Top bits `00`, aligned declared length, cookie or legacy cover.
-    Stun,
-    /// Top bits `10`, second byte in the RTCP packet-type range 200–207.
-    Rtcp,
-    /// Top bits `10`, RTCP excluded, and a first byte with no CSRCs, no
-    /// extension and no padding (`b & 0x3F == 0`): every RTP gate already
-    /// passed in-vector (the bulk region guarantees 12 readable bytes), so
-    /// the dispatcher can accept without further checks.
-    RtpPlain,
-    /// Top bits `10`, RTCP excluded; the remaining RTP length gates run
-    /// scalar in the dispatcher.
-    Rtp,
-    /// Top bits `11` with a plausible QUIC version byte.
-    Quic,
+/// Gather the HI bit of each u64 lane into bit `j` of a byte. Exact for
+/// masks that hold HI bits only: every partial product of the multiply
+/// lands on its own bit, so nothing carries.
+#[inline(always)]
+fn lane_bits(m: u64) -> u32 {
+    ((m >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56) as u32
 }
 
-/// Per-class lane masks for one block (HI bit per lane for SWAR, movemask
-/// bit per lane for SSE2). `all` is the union; the sub-masks partition it.
-struct BlockMasks<M> {
-    all: M,
-    stun: M,
-    rtcp: M,
-    rtp_plain: M,
-    rtp_full: M,
-}
-
-impl<M: Copy + Default + PartialEq + std::ops::BitAnd<Output = M>> BlockMasks<M> {
-    /// Classify the lowest set bit of `bit` (a one-hot mask). Quic is the
-    /// residual class — its bits are in `all` but no sub-mask.
-    #[inline(always)]
-    fn hit_of(&self, bit: M) -> Hit {
-        let none = M::default();
-        if bit & self.rtp_plain != none {
-            Hit::RtpPlain
-        } else if bit & self.rtp_full != none {
-            Hit::Rtp
-        } else if bit & self.rtcp != none {
-            Hit::Rtcp
-        } else if bit & self.stun != none {
-            Hit::Stun
-        } else {
-            Hit::Quic
-        }
-    }
-}
-
-/// Per-lane class/gate masks for the 8 offsets starting at the base of
-/// `w0..w4` (shifted loads: `wN` holds bytes `i+N .. i+N+8`; `w2` feeds
+/// The `(rtp, other)` HI-lane masks for the 8 offsets starting at the base
+/// of `w0..w4` (shifted loads: `wN` holds bytes `i+N .. i+N+8`; `w2` feeds
 /// only the caller-computed `legacy` mask).
 #[inline(always)]
-fn swar_block_mask(w0: u64, w1: u64, w3: u64, w4: u64, legacy: u64) -> BlockMasks<u64> {
+fn swar_block_mask(w0: u64, w1: u64, w3: u64, w4: u64, legacy: u64) -> (u64, u64) {
     // Top-two-bit classes: bit7 is each lane's top bit; bit6 shifts into
     // the bit7 slot of the *same* lane under `<< 1`.
     let b7 = w0 & HI;
@@ -223,36 +176,31 @@ fn swar_block_mask(w0: u64, w1: u64, w3: u64, w4: u64, legacy: u64) -> BlockMask
 
     // RTP/RTCP demux on the second byte: 200..=207 is (b & 0xF8) == 0xC8.
     let rtcp = class10 & eq_mask(w1 & LO.wrapping_mul(0xF8), 0xC8);
-    let rtp = class10 ^ rtcp;
-    // Plain RTP first byte: version 2 with cc = x = p = 0.
-    let rtp_plain = rtp & eq_mask(w0 & LO.wrapping_mul(0x3F), 0x00);
 
     // QUIC long: only versions 1 (0x0000_0001) and 2 (0x6b33_43cf) are
     // accepted, so the version's first byte b[i+1] must be 0x00 or 0x6b.
     let quic = class11 & (eq_mask(w1, 0x00) | eq_mask(w1, 0x6b));
 
-    BlockMasks { all: stun | class10 | quic, stun, rtcp, rtp_plain, rtp_full: rtp ^ rtp_plain }
+    (class10 ^ rtcp, stun | rtcp | quic)
 }
 
 /// Sweep offsets `first..=last` of `payload` with the SWAR pass, invoking
-/// `dispatch(i, hit)` for every offset whose gates pass, in ascending
-/// order. Offsets past `payload.len() - 12` (where the shifted loads would
-/// run off the end) are left to the caller's scalar tail loop; the returned
-/// value is one past the last offset actually swept.
+/// `block(base, rtp, other)` for every block with a set lane, in ascending
+/// order (bit `j` of each mask is offset `base + j`). Offsets past
+/// `payload.len() - 12` (where the shifted loads would run off the end)
+/// are left to the caller's scalar tail loop; the returned value is one
+/// past the last offset actually swept.
 #[inline]
-pub(crate) fn swar_sweep(payload: &[u8], first: usize, last: usize, mut dispatch: impl FnMut(usize, Hit)) -> usize {
+pub(crate) fn swar_sweep(payload: &[u8], first: usize, last: usize, mut block: impl FnMut(usize, u32, u32)) -> usize {
     // Every lane of a block must satisfy i + 4 + 8 <= len.
     let Some(load_end) = payload.len().checked_sub(12) else { return first };
     let mut i = first;
     while i + 7 <= last && i + 7 <= load_end {
         let at = |o: usize| u64::from_le_bytes(payload[i + o..i + o + 8].try_into().expect("8-byte load"));
         let legacy = swar_legacy_mask(at(2), at(3), payload.len() as isize - 20 - i as isize);
-        let masks = swar_block_mask(at(0), at(1), at(3), at(4), legacy);
-        let mut mask = masks.all;
-        while mask != 0 {
-            let bit = mask & mask.wrapping_neg();
-            dispatch(i + (bit.trailing_zeros() / 8) as usize, masks.hit_of(bit));
-            mask ^= bit;
+        let (rtp, other) = swar_block_mask(at(0), at(1), at(3), at(4), legacy);
+        if rtp | other != 0 {
+            block(i, lane_bits(rtp), lane_bits(other));
         }
         i += 8;
     }
@@ -262,8 +210,8 @@ pub(crate) fn swar_sweep(payload: &[u8], first: usize, last: usize, mut dispatch
 // ---- SSE2 pass -------------------------------------------------------------
 
 /// The 16-lane SSE2 twin of [`swar_sweep`]. Same gates, same dispatch
-/// order; `movemask` turns the lane comparisons into one 16-bit offset
-/// bitset per block.
+/// order; `movemask` turns the lane comparisons into 16-bit offset
+/// bitsets.
 ///
 /// This is the one module in the crate allowed to use `unsafe`: SSE2
 /// intrinsics and unaligned 16-byte loads have no safe stable equivalent.
@@ -272,7 +220,6 @@ pub(crate) fn swar_sweep(payload: &[u8], first: usize, last: usize, mut dispatch
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod sse2 {
-    use super::{BlockMasks, Hit};
     use std::arch::x86_64::{
         __m128i, _mm_and_si128, _mm_cmpeq_epi8, _mm_loadu_si128, _mm_movemask_epi8, _mm_or_si128, _mm_set1_epi8,
         _mm_setr_epi8, _mm_setzero_si128, _mm_sub_epi8, _mm_xor_si128,
@@ -280,23 +227,20 @@ mod sse2 {
 
     /// See [`super::swar_sweep`]; sweeps 16 offsets per block.
     #[inline]
-    pub(crate) fn sweep(payload: &[u8], first: usize, last: usize, mut dispatch: impl FnMut(usize, Hit)) -> usize {
+    pub(crate) fn sweep(payload: &[u8], first: usize, last: usize, mut block: impl FnMut(usize, u32, u32)) -> usize {
         let Some(load_end) = payload.len().checked_sub(20) else { return first };
         let mut i = first;
         while i + 15 <= last && i + 15 <= load_end {
             // SAFETY: i + 15 <= len - 20, so the widest load (offset 4)
             // reads payload[i+4 .. i+20] ⊆ payload. `_mm_loadu_si128` has
             // no alignment requirement.
-            let masks = unsafe {
+            let (rtp, other) = unsafe {
                 let at = |o: usize| _mm_loadu_si128(payload.as_ptr().add(i + o) as *const __m128i);
                 let legacy = legacy_mask(at(2), at(3), payload.len() as isize - 20 - i as isize);
                 block_mask(at(0), at(1), at(3), at(4), legacy)
             };
-            let mut mask = masks.all;
-            while mask != 0 {
-                let bit = mask & mask.wrapping_neg();
-                dispatch(i + bit.trailing_zeros() as usize, masks.hit_of(bit));
-                mask ^= bit;
+            if rtp | other != 0 {
+                block(i, rtp, other);
             }
             i += 16;
         }
@@ -326,9 +270,9 @@ mod sse2 {
     }
 
     /// The 16-lane version of [`super::swar_block_mask`] (same gate table),
-    /// with each class lowered to a movemask bitset.
+    /// with the `(rtp, other)` masks lowered to movemask bitsets.
     #[inline(always)]
-    fn block_mask(v0: __m128i, v1: __m128i, v3: __m128i, v4: __m128i, legacy: __m128i) -> BlockMasks<u32> {
+    fn block_mask(v0: __m128i, v1: __m128i, v3: __m128i, v4: __m128i, legacy: __m128i) -> (u32, u32) {
         // SAFETY: SSE2 is unconditionally available on x86-64 (baseline ISA).
         unsafe {
             let zero = _mm_setzero_si128();
@@ -345,20 +289,13 @@ mod sse2 {
             let rtcp_byte =
                 _mm_cmpeq_epi8(_mm_and_si128(v1, _mm_set1_epi8(0xF8u8 as i8)), _mm_set1_epi8(0xC8u8 as i8));
             let rtcp = _mm_and_si128(class10, rtcp_byte);
-            // Plain RTP first byte: version 2 with cc = x = p = 0.
-            let plain_byte = _mm_cmpeq_epi8(_mm_and_si128(v0, _mm_set1_epi8(0x3F)), zero);
 
             let v1_ok = _mm_or_si128(_mm_cmpeq_epi8(v1, zero), _mm_cmpeq_epi8(v1, _mm_set1_epi8(0x6bu8 as i8)));
             let quic = _mm_and_si128(class11, v1_ok);
 
-            let stun = _mm_movemask_epi8(stun) as u32;
-            let class10 = _mm_movemask_epi8(class10) as u32;
-            let rtcp = _mm_movemask_epi8(rtcp) as u32;
-            let plain = _mm_movemask_epi8(plain_byte) as u32;
-            let quic = _mm_movemask_epi8(quic) as u32;
-            let rtp = class10 ^ rtcp;
-            let rtp_plain = rtp & plain;
-            BlockMasks { all: stun | class10 | quic, stun, rtcp, rtp_plain, rtp_full: rtp ^ rtp_plain }
+            let rtp = _mm_xor_si128(class10, rtcp);
+            let other = _mm_or_si128(_mm_or_si128(stun, rtcp), quic);
+            (_mm_movemask_epi8(rtp) as u32, _mm_movemask_epi8(other) as u32)
         }
     }
 }
@@ -367,19 +304,19 @@ mod sse2 {
 /// module docs). Returns one past the last offset swept; the caller
 /// finishes the tail scalar-wise.
 #[inline]
-pub(crate) fn bulk_sweep(payload: &[u8], first: usize, last: usize, dispatch: impl FnMut(usize, Hit)) -> usize {
+pub(crate) fn bulk_sweep(payload: &[u8], first: usize, last: usize, block: impl FnMut(usize, u32, u32)) -> usize {
     #[cfg(target_arch = "x86_64")]
     {
         // The 16-lane pass stops up to 35 offsets before the payload end
         // (block stride + load width); narrower u64 blocks keep sweeping
         // where no 16-byte load fits, leaving at most the SWAR tail for
         // the caller's scalar loop.
-        let mut dispatch = dispatch;
-        let end = sse2::sweep(payload, first, last, &mut dispatch);
-        swar_sweep(payload, end, last, dispatch)
+        let mut block = block;
+        let end = sse2::sweep(payload, first, last, &mut block);
+        swar_sweep(payload, end, last, block)
     }
     #[cfg(not(target_arch = "x86_64"))]
-    swar_sweep(payload, first, last, dispatch)
+    swar_sweep(payload, first, last, block)
 }
 
 #[cfg(test)]
@@ -421,37 +358,39 @@ mod tests {
         }
     }
 
-    /// The hit tag the dispatcher will trust, re-derived scalar-wise.
-    fn reference_hit(payload: &[u8], i: usize) -> Hit {
-        let tail = &payload[i..];
-        match tail[0] >> 6 {
-            0b00 => Hit::Stun,
-            0b10 => {
-                if (200..=207).contains(&tail[1]) {
-                    Hit::Rtcp
-                } else if tail[0] & 0x3F == 0 {
-                    Hit::RtpPlain
-                } else {
-                    Hit::Rtp
-                }
+    /// Whether offset `i` belongs in a block's `rtp` mask, re-derived
+    /// scalar-wise: version 2 and a second byte outside 200..=207.
+    fn reference_rtp(payload: &[u8], i: usize) -> bool {
+        payload[i] >> 6 == 0b10 && !(200..=207).contains(&payload[i + 1])
+    }
+
+    /// A block callback that unpacks each block's masks into
+    /// `(offset, in the rtp mask)` pairs, in the order a dispatcher visits
+    /// them.
+    fn unpack(got: &mut Vec<(usize, bool)>) -> impl FnMut(usize, u32, u32) + '_ {
+        move |base, rtp, other| {
+            assert_eq!(rtp & other, 0, "the rtp and other masks overlap at block {base}");
+            let mut m = rtp | other;
+            while m != 0 {
+                let j = m.trailing_zeros();
+                got.push((base + j as usize, rtp >> j & 1 == 1));
+                m &= m - 1;
             }
-            0b11 => Hit::Quic,
-            _ => panic!("demux-01 lanes are never swept"),
         }
     }
 
-    /// Check one sweep's dispatches `got` and returned end against the
+    /// Check one sweep's lanes `got` and returned end against the
     /// reference gates; `lanes` is the widest block the sweep uses.
-    fn check_sweep(payload: &[u8], name: &str, lanes: usize, got: &[(usize, Hit)], end: usize) {
+    fn check_sweep(payload: &[u8], name: &str, lanes: usize, got: &[(usize, bool)], end: usize) {
         let last = payload.len().saturating_sub(1);
         assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "ascending order");
-        for &(i, hit) in got {
+        for &(i, rtp) in got {
             assert!(i < end, "dispatch past the reported sweep end");
             assert!(loose_gate(payload, i), "{name}: over-wide gate at {i}");
-            assert_eq!(hit, reference_hit(payload, i), "{name}: wrong hit tag at {i}");
-            if hit == Hit::RtpPlain {
-                // The dispatcher accepts RtpPlain without length checks.
-                assert!(i + 12 <= payload.len(), "{name}: plain hit without 12 bytes at {i}");
+            assert_eq!(rtp, reference_rtp(payload, i), "{name}: wrong mask at {i}");
+            if rtp {
+                // The dispatcher reads an RTP lane's fixed header unchecked.
+                assert!(i + 12 <= payload.len(), "{name}: rtp lane without 12 bytes at {i}");
             }
         }
         for i in (0..end).filter(|&i| strict_gate(payload, i)) {
@@ -474,11 +413,11 @@ mod tests {
     fn check_sweeps(payload: &[u8]) -> [(Vec<usize>, usize); 2] {
         let last = payload.len().saturating_sub(1);
         let mut got = Vec::new();
-        let end = swar_sweep(payload, 0, last, |i, hit| got.push((i, hit)));
+        let end = swar_sweep(payload, 0, last, unpack(&mut got));
         check_sweep(payload, "swar", 8, &got, end);
         let swar = (got.iter().map(|&(i, _)| i).collect(), end);
         let mut got = Vec::new();
-        let end = bulk_sweep(payload, 0, last, |i, hit| got.push((i, hit)));
+        let end = bulk_sweep(payload, 0, last, unpack(&mut got));
         let active = ScanMode::active();
         check_sweep(payload, active.label(), if active == ScanMode::Simd { 16 } else { 8 }, &got, end);
         [swar, (got.iter().map(|&(i, _)| i).collect(), end)]
@@ -535,18 +474,23 @@ mod tests {
     #[test]
     fn swar_eq_masks_have_no_borrow_false_positives() {
         // A matching lane must not leak into the next lane differing by
-        // one: under the classic `(x - LO) & !x & HI` zero test, the
-        // borrow out of lane 0 (first byte 0x80, plain-RTP mask 0x00)
-        // falsely flagged lane 1 (first byte 0x81, mask 0x01) as
-        // `RtpPlain`, skipping the CSRC length gate entirely.
-        let mut p = vec![0u8; 24];
-        p[0] = 0x80; // plain RTP first byte at offset 0
-        p[1] = 0x81; // RTP with cc = 1 at offset 1 — needs the scalar gate
-        let mut got = Vec::new();
-        swar_sweep(&p, 0, p.len() - 1, |i, hit| got.push((i, hit)));
-        for (i, hit) in got {
-            assert_eq!(hit, reference_hit(&p, i), "borrow leaked into offset {i}");
+        // one. Under the classic `(x - LO) & !x & HI` zero test, the borrow
+        // out of a matching lane flags a following lane one above the
+        // constant: here every compared byte (version-2 first bytes, the
+        // RTCP range, QUIC's 0x00/0x6b, the cookie's 0x21) sits next to its
+        // off-by-one twin, and each lane's mask must still be exact.
+        let mut p = vec![0u8; 48];
+        p[0] = 0x80; // offset 0: RTP (second byte 0x81)
+        p[1] = 0x81; // offset 1: version 2, second byte 0xC8, so RTCP
+        for (j, b) in [0xC8u8, 0xC9, 0xC0, 0xC1, 0x6b, 0x6c, 0x21, 0x22, 0x00, 0x01].into_iter().enumerate() {
+            p[2 + j] = b;
         }
+        p[12] = 0xBF;
+        p[13] = 0xCF; // RTCP range ends at 0xCF: lane 12 is RTCP, not RTP
+        let mut got = Vec::new();
+        let end = swar_sweep(&p, 0, p.len() - 1, unpack(&mut got));
+        check_sweep(&p, "swar", 8, &got, end);
+        assert!(got.contains(&(0, true)) && got.contains(&(1, false)) && got.contains(&(12, false)));
     }
 
     #[test]

@@ -29,6 +29,7 @@
 use rtc_pcap::trace::Datagram;
 use rtc_pcap::Timestamp;
 use rtc_wire::ip::{FiveTuple, ThreeTuple, Transport};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashSet};
 use std::net::IpAddr;
 
@@ -377,6 +378,29 @@ fn ip_pair(t: &FiveTuple) -> (IpAddr, IpAddr) {
     }
 }
 
+/// Whether a stream whose first datagram is `d` is already provably
+/// rejected (a *monotone* condition: it can never become RTC later).
+fn doomed_at_birth(
+    win: Window,
+    config: &FilterConfig,
+    out_of_window_3tuples: &HashSet<ThreeTuple>,
+    precall_ip_pairs: &HashSet<(IpAddr, IpAddr)>,
+    d: &Datagram,
+) -> bool {
+    let tuple = &d.five_tuple;
+    // First datagram outside the window → stage-1 removed, forever.
+    !win.contains(d.ts)
+        // Any out-of-window activity on this destination 3-tuple (the
+        // sets only grow, and an out-of-window datagram of the stream
+        // itself inserts its own destination) → stage 1 or 2 removed.
+        || out_of_window_3tuples.contains(&tuple.dst_three_tuple())
+        // Excluded ports are static properties of the tuple.
+        || config.excluded_ports.contains(&tuple.src.port())
+        || config.excluded_ports.contains(&tuple.dst.port())
+        // A local IP pair seen pre-call stays seen.
+        || (tuple.touches_local_range() && precall_ip_pairs.contains(&ip_pair(tuple)))
+}
+
 /// Where the final classification placed a stream.
 enum StreamClass {
     Stage1,
@@ -431,10 +455,12 @@ fn classify_stream(
 /// for the batch pipeline to classify it as RTC (its first datagram lies
 /// outside the window, it touched an out-of-window destination 3-tuple, it
 /// runs on an excluded port, or its local IP pair was seen pre-call).
-/// Dropping affects retention only — counts and timestamps keep
-/// accumulating — and the final classification is recomputed from the
-/// complete accounting, so the outcome is bit-identical to the batch run
-/// even on unsorted input.
+/// Doom is decided once, when a stream's first datagram arrives; after
+/// that, the only route to doom is a sweep run by a fresh out-of-window
+/// 3-tuple or pre-call IP pair. Dropping affects retention only — counts
+/// and timestamps keep accumulating — and the final classification is
+/// recomputed from the complete accounting, so the outcome is
+/// bit-identical to the batch run even on unsorted input.
 ///
 /// [`finish`]: OnlineFilter::finish_streaming
 #[derive(Debug)]
@@ -502,11 +528,25 @@ impl OnlineFilter {
             }
         }
 
-        let doomed = self.retention == Retention::AcceptedUdp && self.is_doomed(&d);
-        let acct = self.streams.entry(d.five_tuple).or_default();
-        if acct.first_ts.is_none() {
-            acct.first_ts = Some(d.ts);
-        }
+        // One map walk per datagram. A stream's doom is decided at birth
+        // from its first timestamp and static tuple; the observation sets
+        // only grow afterwards, and each growth sweeps every stream it
+        // dooms, so for an existing stream `dropped` already says it all.
+        let acct = match self.streams.entry(d.five_tuple) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let dropped = self.retention == Retention::AcceptedUdp
+                    && d.five_tuple.transport == Transport::Udp
+                    && doomed_at_birth(
+                        self.win,
+                        &self.config,
+                        &self.out_of_window_3tuples,
+                        &self.precall_ip_pairs,
+                        &d,
+                    );
+                e.insert(StreamAcct { first_ts: Some(d.ts), dropped, ..StreamAcct::default() })
+            }
+        };
         acct.last_ts = Some(d.ts);
         acct.count += 1;
 
@@ -516,39 +556,13 @@ impl OnlineFilter {
             // first SNI_SCAN_SEGMENTS segments: cap the head, keep it even
             // for doomed streams (stage-2 attribution may still need it).
             (Retention::AcceptedUdp, Transport::Tcp) => acct.retained.len() < SNI_SCAN_SEGMENTS,
-            (Retention::AcceptedUdp, Transport::Udp) => {
-                if doomed && !acct.dropped {
-                    acct.dropped = true;
-                    let freed: usize = acct.retained.iter().map(|r| r.payload.len()).sum();
-                    acct.retained = Vec::new();
-                    self.retained_bytes -= freed;
-                }
-                !acct.dropped
-            }
+            (Retention::AcceptedUdp, Transport::Udp) => !acct.dropped,
         };
         if retain {
             self.retained_bytes += d.payload.len();
             self.peak_retained_bytes = self.peak_retained_bytes.max(self.retained_bytes);
             acct.retained.push(d);
         }
-    }
-
-    /// Whether the arriving datagram's stream is already provably rejected
-    /// (a *monotone* condition: it can never become RTC later).
-    fn is_doomed(&self, d: &Datagram) -> bool {
-        let tuple = &d.five_tuple;
-        let first = self.streams.get(tuple).and_then(|a| a.first_ts).unwrap_or(d.ts);
-        // First datagram outside the window → stage-1 removed, forever.
-        !self.win.contains(first)
-            // Any out-of-window activity on this destination 3-tuple (the
-            // sets only grow, and an out-of-window datagram of the stream
-            // itself inserts its own destination) → stage 1 or 2 removed.
-            || self.out_of_window_3tuples.contains(&tuple.dst_three_tuple())
-            // Excluded ports are static properties of the tuple.
-            || self.config.excluded_ports.contains(&tuple.src.port())
-            || self.config.excluded_ports.contains(&tuple.dst.port())
-            // A local IP pair seen pre-call stays seen.
-            || (tuple.touches_local_range() && self.precall_ip_pairs.contains(&ip_pair(tuple)))
     }
 
     /// Drop retained payloads of UDP streams newly doomed by a fresh

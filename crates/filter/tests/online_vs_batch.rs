@@ -185,6 +185,41 @@ fn late_observation_sweeps_already_retained_payloads() {
     assert_eq!(online.retained_bytes(), 200, "sweep must release the doomed payloads");
 }
 
+#[test]
+fn late_precall_pair_sweeps_a_local_stream_born_clean() {
+    // A local-range stream is acceptable at birth. Then a pre-call
+    // datagram on the same IP pair (another port pair, arriving out of
+    // capture order) dooms it. The stream already exists, so only the
+    // pre-call pair's sweep can drop its payloads; its later datagrams
+    // must not be retained either.
+    let local = udp("192.168.1.5:6000", "192.168.1.9:6001");
+    let precall = udp("192.168.1.9:7000", "192.168.1.5:7001");
+    let keeper = udp("10.0.0.1:9002", "203.0.113.10:40001");
+
+    let datagrams = vec![
+        dg(100, local, &[1; 300]),
+        dg(150, local, &[2; 300]),
+        dg(200, keeper, &[3; 100]),
+        dg(30, precall, &[4; 50]), // before the call starts: dooms `local`
+        dg(250, local, &[5; 300]),
+    ];
+    let peak = assert_equivalent(&datagrams, WINDOW, &FilterConfig::default());
+    assert_eq!(peak, 700, "peak should be the pre-sweep residency");
+    let batch = run(&datagrams, WINDOW, &FilterConfig::default());
+    assert!(batch.stage2_removed.iter().any(|(s, h)| s.tuple == local && *h == Heuristic::LocalIp));
+
+    let mut online = OnlineFilter::new(WINDOW, FilterConfig::default(), Retention::AcceptedUdp);
+    for d in &datagrams[..3] {
+        online.push(d.clone());
+    }
+    assert_eq!(online.retained_bytes(), 700);
+    online.push(datagrams[3].clone());
+    assert_eq!(online.retained_bytes(), 100, "the sweep must release the local stream's 600 bytes");
+    online.push(datagrams[4].clone());
+    assert_eq!(online.retained_bytes(), 100, "a swept stream retains nothing more");
+    assert_eq!(online.peak_retained_bytes(), 700);
+}
+
 /// A small adversarial alphabet: RTC candidates, a shared destination
 /// 3-tuple, an excluded port, a local-range pair, and a TCP flow.
 fn alphabet() -> [FiveTuple; 6] {

@@ -226,8 +226,9 @@ USAGE:
 
 `analyze` re-analyzes an experiment saved with `run --save`. With
 `--stream` the captures are read in bounded chunks through the staged
-streaming engine (peak memory independent of trace size) and one progress
-line per call reports the per-stage counters and timings.
+streaming engine (peak memory bounded across calls, and linear in one
+call's retained RTC bytes) and one progress line per call reports the
+per-stage counters and timings.
 
 `--metrics PATH` dumps the observability registry when the study is done:
 Prometheus text exposition by default, JSON when PATH ends in `.json`.
@@ -784,8 +785,9 @@ pub fn execute(command: Command, out: &mut dyn std::io::Write) -> std::io::Resul
             let validated = dissection.messages().count();
             writeln!(
                 out,
-                "dpi: {candidates} candidates ({}), {validated} validated ({:.1} %)",
+                "dpi: {candidates} candidates ({}), {} kept, {validated} validated ({:.1} %)",
                 per_matcher.join(", "),
+                stats.kept_candidates,
                 100.0 * validated as f64 / candidates.max(1) as f64
             )?;
             let checked = rtc_core::compliance::check_call(&dissection);

@@ -164,14 +164,17 @@ fn generate_then_dissect_reports_compliance() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let text = stdout(&out);
     assert!(text.contains("decodable packets"), "{text}");
-    // `dpi: N candidates (stun a, channeldata b, rtp c, rtcp d, quic e), M validated (x.x %)`
+    // `dpi: N candidates (stun a, channeldata b, rtp c, rtcp d, quic e), K kept, M validated (x.x %)`
     let line = text.lines().find(|l| l.starts_with("dpi: ") && l.contains(" candidates (")).expect(&text);
     let numbers: Vec<u64> =
         line.split(|c: char| !c.is_ascii_digit()).filter(|w| !w.is_empty()).map(|w| w.parse().unwrap()).collect();
-    let (total, per_matcher, validated) = (numbers[0], &numbers[1..6], numbers[6]);
-    assert!(line.contains("(stun ") && line.contains(", rtp ") && line.contains(" validated ("), "{line}");
+    let (total, per_matcher, kept, validated) = (numbers[0], &numbers[1..6], numbers[6], numbers[7]);
+    assert!(line.contains("(stun ") && line.contains(", rtp ") && line.contains(" kept, "), "{line}");
+    assert!(line.contains(" validated ("), "{line}");
     assert_eq!(per_matcher.iter().sum::<u64>(), total, "{line}");
-    assert!(0 < validated && validated <= total, "{line}");
+    // The noise cut drops RTP candidates only, and keeps every one that validates.
+    assert!(total - per_matcher[2] <= kept && kept < total, "{line}");
+    assert!(0 < validated && validated <= kept, "{line}");
     let share = format!("({:.1} %)", 100.0 * validated as f64 / total as f64);
     assert!(line.ends_with(&share), "{line}");
     assert!(text.contains("volume compliance"), "{text}");

@@ -402,8 +402,8 @@ pub fn absorb_analysis(
 /// The streaming study driver: analyzes a saved experiment directory
 /// (see [`rtc_capture::save_experiment`]) call by call through the staged
 /// engine, reading each capture in bounded chunks — peak memory is
-/// O(chunk + live streams + one call's RTC traffic), independent of trace
-/// or campaign size.
+/// O(chunk + live streams + one call's RTC traffic): bounded across the
+/// calls of a campaign, and linear in one call's retained bytes.
 pub struct StreamingStudy;
 
 /// Options for [`StreamingStudy::analyze_dir_with`].

@@ -353,7 +353,8 @@ pub fn run_session(
 /// Analyze one saved call by streaming its pcap file through a
 /// [`CallSession`] in bounded chunks (`chunk_records == 0` uses the
 /// reader default). Peak memory is O(chunk + live streams + one call's
-/// RTC traffic), independent of the trace size.
+/// RTC traffic): linear in the call's retained bytes, not bounded by the
+/// chunk size.
 pub fn analyze_saved_call(
     pcap_path: &std::path::Path,
     manifest: &rtc_capture::CallManifest,
@@ -490,6 +491,12 @@ fn flush_call_metrics(
         obs.histogram("rtc_dpi_message_bytes", &[("matcher", matcher)], "Validated message sizes, per matcher.")
             .merge_buckets(&msg_bytes[i], msg_bytes_sum[i]);
     }
+    obs.counter(
+        "rtc_dpi_kept_candidates_total",
+        &[],
+        "Candidates left for validation after the noise cut dropped RTP candidates of groups too small to validate.",
+    )
+    .add(dpi.kept_candidates);
     for (i, family) in CandidateKind::MATCHER_LABELS.iter().copied().chain(std::iter::once("none")).enumerate() {
         obs.histogram(
             "rtc_dpi_resolve_nanoseconds",

@@ -71,6 +71,10 @@ fn report_metrics_cover_every_stage_and_matcher() {
     // The traffic mix actually validates messages from several matchers.
     let validated = snap.counter_family_total("rtc_dpi_validated_messages_total");
     assert!(validated > 0, "no validated messages recorded");
+    // The noise cut keeps a subset of the candidates, and every candidate
+    // that validates is in it.
+    let kept = snap.counter_family_total("rtc_dpi_kept_candidates_total");
+    assert!(validated <= kept && kept < snap.counter_family_total("rtc_dpi_candidates_total"), "kept {kept}");
 
     // Counter/stats cross-checks: the registry agrees with PipelineStats.
     let decode_in = match snap.get("rtc_pipeline_stage_items_in_total", &[("stage", "decode")]) {
@@ -101,6 +105,7 @@ fn report_metrics_cover_every_stage_and_matcher() {
         "rtc_pipeline_stage_items_in_total",
         "rtc_pipeline_stage_call_nanoseconds",
         "rtc_dpi_candidates_total",
+        "rtc_dpi_kept_candidates_total",
         "rtc_dpi_message_bytes",
         "rtc_filter_streams_total",
         "rtc_compliance_messages_total",
@@ -185,8 +190,12 @@ fn dpi_metrics_are_invariant_across_dpi_threads() {
             .map(|m| (m.labels.clone(), m.value.clone()))
             .collect()
     };
-    for family in ["rtc_dpi_candidates_total", "rtc_dpi_validated_messages_total", "rtc_dpi_rejected_datagrams_total"]
-    {
+    for family in [
+        "rtc_dpi_candidates_total",
+        "rtc_dpi_kept_candidates_total",
+        "rtc_dpi_validated_messages_total",
+        "rtc_dpi_rejected_datagrams_total",
+    ] {
         let want = series(&serial, family);
         assert!(!want.is_empty(), "family {family} has no series");
         assert_eq!(series(&parallel, family), want, "family {family} differs between 1 and 3 DPI threads");

@@ -234,38 +234,64 @@ pub struct DissectStats {
     /// Candidates the extractor produced, indexed by
     /// [`CandidateKind::matcher_index`].
     pub candidates: [u64; CandidateKind::MATCHER_LABELS.len()],
+    /// Candidates left for validation after the noise cut dropped the RTP
+    /// candidates of groups too small to validate.
+    pub kept_candidates: u64,
     /// `(datagram index, nanoseconds)`: the wall-clocked resolution of every
     /// `sample_every`-th datagram, in index order (see [`par::resolve_all`]).
     pub resolve_ns: Vec<(usize, u64)>,
 }
 
-/// [`dissect_call`], also counting candidates per matcher and clocking the
-/// resolution of every `sample_every`-th datagram (0 = none). The
-/// dissection is the same at every `sample_every` and thread count.
+/// [`dissect_call`], also counting candidates per matcher and those kept
+/// for validation, and clocking the resolution of every
+/// `sample_every`-th datagram (0 = none). The dissection is the same at
+/// every `sample_every` and thread count.
 pub fn dissect_call_sampled<D: std::borrow::Borrow<Datagram> + Sync>(
     datagrams: &[D],
     config: &DpiConfig,
     sample_every: usize,
+) -> (CallDissection, DissectStats) {
+    dissect(datagrams, config, sample_every, None)
+}
+
+/// [`dissect_call_sampled`], with the noise cut's count table forced to
+/// `cut_table` slots when given (see [`resolve::cut_noise`]).
+fn dissect<D: std::borrow::Borrow<Datagram> + Sync>(
+    datagrams: &[D],
+    config: &DpiConfig,
+    sample_every: usize,
+    cut_table: Option<usize>,
 ) -> (CallDissection, DissectStats) {
     let mut stats = DissectStats::default();
 
     // ---- Step 1: candidate extraction (Algorithm 1, lines 5–13). -------
     // One flat candidate batch for the whole call, fanned out over chunked
     // workers when the call is large enough (see [`par`]).
-    let batch = par::extract_all(datagrams, config);
+    let mut batch = par::extract_all(datagrams, config);
+
+    // Each datagram's stream is numbered once; validation and resolution
+    // index by that number.
+    let mut streams = resolve::StreamTable::default();
+    let sids: Vec<u32> = datagrams.iter().map(|d| streams.intern(d.borrow().five_tuple)).collect();
+
+    // Most RTP candidates are offset-aliasing noise in groups too small to
+    // validate; drop them before validation holds a row for each, and keep
+    // the batch that resolution reads to the candidates that can matter.
+    stats.candidates = resolve::cut_noise(&mut batch, &sids, config.rtp_min_group, cut_table);
+    stats.kept_candidates = batch.candidate_count() as u64;
 
     // ---- Step 2: protocol-specific validation (lines 14–19). -----------
-    let mut builder = resolve::ContextBuilder::new(config);
-    for (d, candidates) in datagrams.iter().zip(batch.iter()) {
-        builder.observe(d.borrow(), candidates);
+    let mut builder = resolve::ContextBuilder::with_streams(config, streams);
+    for ((d, candidates), &sid) in datagrams.iter().zip(batch.iter()).zip(&sids) {
+        builder.observe_stream(sid, d.borrow(), candidates);
     }
-    stats.candidates = builder.candidate_counts();
     let mut ctx = builder.finish();
 
     // ---- Step 3: per-datagram resolution and classification. -----------
-    // Pure per-datagram work against the frozen context; `resolve_all`
+    // Pure per-datagram work against the frozen context; the resolver
     // fans chunks over workers when the call is large enough.
-    let (dissections, resolve_ns) = par::resolve_all(datagrams, &batch, &ctx, config, sample_every);
+    let (dissections, resolve_ns) = par::resolve_interned(datagrams, &sids, &batch, &ctx, config, sample_every);
+    drop(batch);
     stats.resolve_ns = resolve_ns;
     let mut out = CallDissection::default();
     // Tally by (protocol, reason) — a handful of distinct values per call —
@@ -641,6 +667,163 @@ mod tests {
         let borrowed: Vec<&Datagram> = owned.iter().collect();
         let config = DpiConfig::default();
         assert_eq!(dissect_call(&borrowed, &config), dissect_call(&owned, &config));
+    }
+
+    /// The public stepwise path with no noise cut: every candidate is
+    /// pushed, observed and resolved. Returns the dissection and the
+    /// per-matcher candidate counts.
+    fn unpruned_stepwise(datagrams: &[Datagram], config: &DpiConfig) -> (CallDissection, [u64; 5]) {
+        let mut batch = CandidateBatch::with_capacity(datagrams.len());
+        for d in datagrams {
+            batch.push_payload(&d.payload, config.max_offset);
+        }
+        let mut counts = [0u64; 5];
+        let mut builder = resolve::ContextBuilder::new(config);
+        for (i, d) in datagrams.iter().enumerate() {
+            builder.observe(d, batch.get(i));
+            for c in batch.get(i) {
+                counts[c.kind.matcher_index()] += 1;
+            }
+        }
+        let mut ctx = builder.finish();
+        let (dissections, _) = par::resolve_all(datagrams, &batch, &ctx, config, 0);
+        let mut out = CallDissection::default();
+        for (dd, d) in dissections.iter().zip(datagrams) {
+            if dd.class == DatagramClass::FullyProprietary {
+                *out.rejections.entry(rejection_key(&d.payload).into_owned()).or_default() += 1;
+            }
+        }
+        out.datagrams = dissections;
+        out.rtp_ssrcs = std::mem::take(&mut ctx.rtp_ssrcs);
+        (out, counts)
+    }
+
+    /// A call of RTP groups sized one below, at and one above each tested
+    /// `rtp_min_group`, on three streams and both directions, some behind
+    /// a proprietary prefix, some inside ChannelData or a STUN DATA
+    /// attribute, with SSRCs forced to share low bits, RTCP naming group
+    /// or foreign SSRCs, and random noise datagrams; the groups interleave
+    /// in arrival order.
+    fn grouped_call(rng: &mut rtc_conformance::SplitMix64) -> Vec<Datagram> {
+        use rtc_wire::stun::{attr, msg_type, ChannelData, MessageBuilder};
+        let tuples: Vec<FiveTuple> = (0..3)
+            .map(|i| {
+                FiveTuple::udp(format!("10.0.0.{}:1000", i + 1).parse().unwrap(), "1.2.3.4:2000".parse().unwrap())
+            })
+            .collect();
+        let low = rng.next_u64() as u32 & 0xFFFF;
+        let mut lists: Vec<Vec<(FiveTuple, Vec<u8>)>> = Vec::new();
+        let mut ssrcs = Vec::new();
+        for _ in 0..rng.in_range(1..=30usize) {
+            let mut tuple = tuples[rng.below(tuples.len())];
+            if rng.below(4) == 0 {
+                tuple = tuple.reversed();
+            }
+            let ssrc = if rng.below(2) == 0 { (rng.below(4) as u32) << 16 | low } else { rng.next_u64() as u32 };
+            ssrcs.push(ssrc);
+            let prefix_max = if rng.below(3) == 0 { 12 } else { 0 };
+            let prefix = rng.bytes(0..=prefix_max);
+            let wrap = rng.below(6);
+            let continuous = rng.below(5) != 0;
+            let mut seq = rng.next_u64() as u16;
+            let mut list = Vec::new();
+            // m - 1, m or m + 1 members for m in {2, 5, 8}.
+            for _ in 0..[1, 2, 3, 4, 5, 6, 7, 8, 9][rng.below(9)] {
+                seq = if continuous { seq.wrapping_add(rng.in_range(1..=3u16)) } else { rng.next_u64() as u16 };
+                let body = rng.bytes(8..=120);
+                let rtp = PacketBuilder::new(96, seq, seq as u32 * 160, ssrc).payload(body).build();
+                let mut p = prefix.clone();
+                match wrap {
+                    0 => p.extend(ChannelData::build(0x4001, &rtp)),
+                    1 => p.extend(
+                        MessageBuilder::new(msg_type::DATA_INDICATION, [5; 12]).attribute(attr::DATA, rtp).build(),
+                    ),
+                    _ => p.extend(rtp),
+                }
+                list.push((tuple, p));
+            }
+            lists.push(list);
+        }
+        let mut rtcp = Vec::new();
+        for _ in 0..rng.in_range(0..=4usize) {
+            let ssrc = if rng.below(3) == 0 { rng.next_u64() as u32 } else { ssrcs[rng.below(ssrcs.len())] };
+            let sr = rtc_wire::rtcp::SenderReport {
+                ssrc,
+                ntp_timestamp: 1,
+                rtp_timestamp: 2,
+                packet_count: 3,
+                octet_count: 4,
+                reports: vec![],
+            };
+            rtcp.push((tuples[rng.below(tuples.len())].reversed(), sr.build()));
+        }
+        lists.push(rtcp);
+        let noise = if rng.below(3) == 0 { rng.in_range(0..=300usize) } else { rng.in_range(0..=20usize) };
+        lists.push((0..noise).map(|_| (tuples[rng.below(tuples.len())], rng.bytes(0..=200))).collect());
+        // Merge the lists in random order, each list's own order kept.
+        for list in &mut lists {
+            list.reverse();
+        }
+        let mut out = Vec::new();
+        while lists.iter().any(|l| !l.is_empty()) {
+            let live: Vec<usize> = (0..lists.len()).filter(|&i| !lists[i].is_empty()).collect();
+            let (tuple, payload) = lists[live[rng.below(live.len())]].pop().expect("non-empty");
+            let ts = Timestamp::from_millis(out.len() as u64);
+            out.push(Datagram { ts, five_tuple: tuple, payload: Bytes::from(payload) });
+        }
+        out
+    }
+
+    /// The noise cut changes no verdict: `dissect_call_sampled` equals the
+    /// unpruned public stepwise path at every tested `rtp_min_group`, with
+    /// and without forced count-table collisions, serial and threaded.
+    #[test]
+    fn noise_cut_matches_the_unpruned_stepwise_path() {
+        let (mut cut, mut validated_rtp) = (0u64, 0usize);
+        rtc_conformance::check_cases("noise_cut_matches_the_unpruned_stepwise_path", 32, |rng| {
+            let datagrams = grouped_call(rng);
+            for min_group in [0usize, 1, 2, 5, 8] {
+                let serial = DpiConfig { rtp_min_group: min_group, threads: 1, ..DpiConfig::default() };
+                let (want, counts) = unpruned_stepwise(&datagrams, &serial);
+                let total: u64 = counts.iter().sum();
+                for threads in [1usize, 3] {
+                    let config = DpiConfig { threads, parallel_threshold: 1, ..serial };
+                    for table in [None, Some(1), Some(2), Some(8)] {
+                        let (out, stats) = dissect(&datagrams, &config, 0, table);
+                        let at = format!("min_group {min_group}, threads {threads}, table {table:?}");
+                        assert_eq!(out, want, "{at}");
+                        assert_eq!(stats.candidates, counts, "{at}");
+                        assert!(stats.kept_candidates <= total, "{at}");
+                        if min_group <= 1 {
+                            assert_eq!(stats.kept_candidates, total, "{at}");
+                        }
+                        if min_group == 5 && table.is_none() && threads == 1 {
+                            cut += total - stats.kept_candidates;
+                        }
+                    }
+                }
+                if min_group == 5 {
+                    validated_rtp += want.messages().filter(|(_, m)| m.protocol == Protocol::Rtp).count();
+                }
+            }
+        });
+        assert!(cut > 0 && validated_rtp > 0, "the cases must both cut noise and validate groups");
+    }
+
+    /// A group past the `u8` count limit saturates its slot, and a
+    /// saturated slot keeps its candidates whatever `rtp_min_group` is.
+    #[test]
+    fn saturated_group_counts_keep_their_candidates() {
+        let d = rtp_stream_datagrams(300, 0x5A7, &[]);
+        for min_group in [300usize, 301] {
+            let config = DpiConfig { rtp_min_group: min_group, ..DpiConfig::default() };
+            let (want, _) = unpruned_stepwise(&d, &config);
+            let (out, stats) = dissect_call_sampled(&d, &config, 0);
+            assert_eq!(out, want, "min_group {min_group}");
+            assert!(stats.kept_candidates >= 300, "min_group {min_group}: the group's 300 candidates stay");
+            let standard = out.datagrams.iter().all(|dd| dd.class == DatagramClass::Standard);
+            assert_eq!(standard, min_group == 300, "min_group {min_group}");
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! byte-identical to the sequential computation. Parallelism across calls
 //! belongs to the study driver, which runs one call per worker.
 
-use crate::pattern::CandidateBatch;
-use crate::resolve::{resolve_datagram, ValidationContext};
+use crate::pattern::{Candidate, CandidateBatch};
+use crate::resolve::{resolve_datagram, resolve_in_slot, ValidationContext};
 use crate::{DatagramDissection, DpiConfig};
 use rtc_pcap::trace::Datagram;
 use std::borrow::Borrow;
@@ -193,13 +193,42 @@ pub fn resolve_all<D: Borrow<Datagram> + Sync>(
     config: &DpiConfig,
     sample_every: usize,
 ) -> (Vec<DatagramDissection>, Vec<(usize, u64)>) {
+    resolve_each(datagrams, batch, config, sample_every, |_, d, candidates| resolve_datagram(d, candidates, ctx))
+}
+
+/// [`resolve_all`] for a call whose streams are interned: `sids[i]` is
+/// datagram `i`'s stream id in the table `ctx` was built over, so no
+/// datagram hashes its stream key.
+pub(crate) fn resolve_interned<D: Borrow<Datagram> + Sync>(
+    datagrams: &[D],
+    sids: &[u32],
+    batch: &CandidateBatch,
+    ctx: &ValidationContext,
+    config: &DpiConfig,
+    sample_every: usize,
+) -> (Vec<DatagramDissection>, Vec<(usize, u64)>) {
+    resolve_each(datagrams, batch, config, sample_every, |i, d, candidates| {
+        resolve_in_slot(d, candidates, ctx.stream_slot(sids[i]))
+    })
+}
+
+/// The chunked, sampled driver behind [`resolve_all`] and
+/// [`resolve_interned`]: `resolve(i, datagram, candidates)` dissects
+/// datagram `i`.
+fn resolve_each<D: Borrow<Datagram> + Sync>(
+    datagrams: &[D],
+    batch: &CandidateBatch,
+    config: &DpiConfig,
+    sample_every: usize,
+    resolve: impl Fn(usize, &Datagram, &[Candidate]) -> DatagramDissection + Sync,
+) -> (Vec<DatagramDissection>, Vec<(usize, u64)>) {
     let resolve_chunk = |start: usize, slice: &[D]| {
         let mut out = Vec::with_capacity(slice.len());
         let mut samples = Vec::new();
         for (k, d) in slice.iter().enumerate() {
             let i = start + k;
             let clock = (sample_every > 0 && i.is_multiple_of(sample_every)).then(Instant::now);
-            out.push(resolve_datagram(d.borrow(), batch.get(i), ctx));
+            out.push(resolve(i, d.borrow(), batch.get(i)));
             if let Some(t0) = clock {
                 samples.push((i, u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)));
             }

@@ -190,7 +190,9 @@ impl CandidateKind {
 /// Positions are `u32`: the extraction entry points assert that the
 /// payload length fits, so no position is ever truncated. Most candidates
 /// are false positives that validation drops, so their size is most of the
-/// DPI's working set.
+/// DPI's working set. A STUN message's DATA attribute range is not kept
+/// either: resolution re-derives it (`stun_data_range`) for the few STUN
+/// candidates it accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Candidate {
     /// Byte offset in the UDP payload.
@@ -199,21 +201,17 @@ pub struct Candidate {
     pub len: u32,
     /// Structural details.
     pub kind: CandidateKind,
-    /// For STUN messages carrying a DATA attribute: the attribute value's
-    /// byte range *relative to the message start* (nested messages may live
-    /// there).
-    pub data_attr: Option<(u32, u32)>,
 }
 
 const _: () = assert!(std::mem::size_of::<CandidateKind>() == 8);
-const _: () = assert!(std::mem::size_of::<Candidate>() <= 28);
+const _: () = assert!(std::mem::size_of::<Candidate>() == 16);
 
 impl Candidate {
-    /// A candidate without a DATA attribute at `offset`, claiming `len`
-    /// bytes. Both fit `u32` because [`assert_fits`] held for the payload.
+    /// A candidate at `offset`, claiming `len` bytes. Both fit `u32`
+    /// because [`assert_fits`] held for the payload.
     #[inline(always)]
     fn at(offset: usize, len: usize, kind: CandidateKind) -> Candidate {
-        Candidate { offset: offset as u32, len: len as u32, kind, data_attr: None }
+        Candidate { offset: offset as u32, len: len as u32, kind }
     }
 
     /// Byte offset in the UDP payload, as an index.
@@ -540,6 +538,24 @@ impl CandidateBatch {
         self.spans.iter().map(|&(start, end)| &self.flat[start..end])
     }
 
+    /// Keep only the candidates that `keep(datagram index, candidate)`
+    /// accepts, in order and in place, then hand the freed capacity back.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(usize, &Candidate) -> bool) {
+        let CandidateBatch { flat, spans } = self;
+        let mut kept = 0;
+        for (i, span) in spans.iter_mut().enumerate() {
+            let start = kept;
+            for r in span.0..span.1 {
+                let c = flat[r];
+                flat[kept] = c;
+                kept += keep(i, &c) as usize;
+            }
+            *span = (start, kept);
+        }
+        flat.truncate(kept);
+        flat.shrink_to_fit();
+    }
+
     /// Append another batch's datagrams after this one (used by the
     /// parallel driver to stitch chunk results back in input order).
     pub fn append(&mut self, mut other: CandidateBatch) {
@@ -567,20 +583,8 @@ fn match_stun(tail: &[u8], offset: usize) -> Option<Candidate> {
     if !modern && (msg.wire_len() != tail.len() || msg.declared_length() == 0) {
         return None;
     }
-    // The TLV attributes must walk cleanly to the declared length. The
-    // running offset tracks each TLV's position relative to the message
-    // start: 4 bytes of type+length, the value, then padding to the next
-    // 4-byte boundary (RFC 5389 §15).
-    let mut data_attr = None;
-    let mut attr_offset = stun::HEADER_LEN;
-    for a in msg.attributes() {
-        let a = a.ok()?;
-        let vlen = a.value.len();
-        if a.typ == stun::attr::DATA {
-            data_attr = Some(((attr_offset + 4) as u32, (attr_offset + 4 + vlen) as u32));
-        }
-        attr_offset += 4 + vlen + (4 - vlen % 4) % 4;
-    }
+    // The TLV attributes must walk cleanly to the declared length.
+    let _data_attr = walk_stun_attributes(&msg)?;
     #[cfg(feature = "cov-probes")]
     {
         if modern {
@@ -588,14 +592,38 @@ fn match_stun(tail: &[u8], offset: usize) -> Option<Candidate> {
         } else {
             rtc_cov::probe!("dpi.match.stun-legacy");
         }
-        if data_attr.is_some() {
+        if _data_attr.is_some() {
             rtc_cov::probe!("dpi.match.stun-data-attr");
         }
     }
-    Some(Candidate {
-        data_attr,
-        ..Candidate::at(offset, msg.wire_len(), CandidateKind::Stun { message_type: msg.message_type(), modern })
-    })
+    Some(Candidate::at(offset, msg.wire_len(), CandidateKind::Stun { message_type: msg.message_type(), modern }))
+}
+
+/// Walk a STUN message's TLV attributes to its declared length: `None` if
+/// the walk fails, otherwise the last DATA attribute's value range
+/// relative to the message start, if there is one. The running offset
+/// tracks each TLV's position: 4 bytes of type+length, the value, then
+/// padding to the next 4-byte boundary (RFC 5389 §15).
+fn walk_stun_attributes(msg: &stun::Message<'_>) -> Option<Option<(usize, usize)>> {
+    let mut data_attr = None;
+    let mut attr_offset = stun::HEADER_LEN;
+    for a in msg.attributes() {
+        let a = a.ok()?;
+        let vlen = a.value.len();
+        if a.typ == stun::attr::DATA {
+            data_attr = Some((attr_offset + 4, attr_offset + 4 + vlen));
+        }
+        attr_offset += 4 + vlen + (4 - vlen % 4) % 4;
+    }
+    Some(data_attr)
+}
+
+/// The DATA attribute value range, relative to the message start, of the
+/// STUN candidate that starts `tail` (nested messages may live there).
+/// The same walk as extraction, so it re-derives what a matched candidate
+/// would have recorded.
+pub(crate) fn stun_data_range(tail: &[u8]) -> Option<(usize, usize)> {
+    walk_stun_attributes(&stun::Message::new_checked(tail).ok()?).flatten()
 }
 
 /// ChannelData pattern: a channel number in RFC 8656's 0x4000–0x4FFF
@@ -812,8 +840,8 @@ mod tests {
             .build();
         let c = extract_candidates(&msg, 0);
         let stun = c.iter().find(|c| matches!(c.kind, CandidateKind::Stun { .. })).unwrap();
-        let (s, e) = stun.data_attr.unwrap();
-        assert_eq!(&msg[s as usize..e as usize], &inner[..]);
+        let (s, e) = stun_data_range(&msg[stun.start()..]).unwrap();
+        assert_eq!(&msg[s..e], &inner[..]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Validation and overlap resolution — step 2 of Algorithm 1 plus the
 //! proprietary-header classification of §4.1.2.
 
-use crate::pattern::{Candidate, CandidateBatch, CandidateKind, CidBuf};
+use crate::pattern::{stun_data_range, Candidate, CandidateBatch, CandidateKind, CidBuf};
 use crate::{DatagramClass, DatagramDissection, DpiConfig, DpiMessage, Protocol};
 use rtc_pcap::trace::Datagram;
 use rtc_wire::ip::FiveTuple;
@@ -13,10 +13,10 @@ use std::collections::{HashMap, HashSet};
 /// individual candidates.
 #[derive(Debug, Default)]
 pub struct ValidationContext {
-    /// Slot index of every directional stream that carried a candidate.
+    /// Slot index of every interned directional stream.
     slot_of: HashMap<FiveTuple, u32>,
-    /// One frozen slot per such stream: resolving a datagram hashes its
-    /// stream key once, then validates every candidate against the slot.
+    /// One frozen slot per such stream: resolving a datagram finds its
+    /// slot once, then validates every candidate against it.
     slots: Vec<StreamSlot>,
     /// RTP SSRCs per *conversation* (canonical stream key), from valid
     /// groups — the RTCP cross-validation set.
@@ -27,7 +27,7 @@ pub struct ValidationContext {
 /// is tiny and sorted ascending, so a membership probe is a few compares
 /// ([`sorted_contains`]) rather than a hash.
 #[derive(Debug, Default, PartialEq, Eq)]
-struct StreamSlot {
+pub(crate) struct StreamSlot {
     /// SSRCs whose groups on this stream passed the RTP
     /// sequence-continuity test.
     rtp: Vec<u32>,
@@ -86,7 +86,30 @@ impl ValidationContext {
     }
 
     fn slot(&self, stream: &FiveTuple) -> &StreamSlot {
-        self.slot_of.get(stream).map_or(&EMPTY_SLOT, |&i| &self.slots[i as usize])
+        self.slot_of.get(stream).map_or(&EMPTY_SLOT, |&i| self.stream_slot(i))
+    }
+
+    /// The slot of the stream [`StreamTable::intern`] numbered `sid`.
+    pub(crate) fn stream_slot(&self, sid: u32) -> &StreamSlot {
+        &self.slots[sid as usize]
+    }
+}
+
+/// Directional streams numbered in first-seen order, so per-datagram work
+/// can index by a `u32` instead of hashing a [`FiveTuple`] again.
+#[derive(Debug, Default)]
+pub(crate) struct StreamTable {
+    ids: HashMap<FiveTuple, u32>,
+    streams: Vec<FiveTuple>,
+}
+
+impl StreamTable {
+    /// The id of `stream`, numbering it if it is new.
+    pub(crate) fn intern(&mut self, stream: FiveTuple) -> u32 {
+        *self.ids.entry(stream).or_insert_with(|| {
+            self.streams.push(stream);
+            (self.streams.len() - 1) as u32
+        })
     }
 }
 
@@ -131,12 +154,10 @@ pub struct ContextBuilder {
     // `(stream_id << 32 | ssrc, arrival, seq, byte)` row in a single
     // flat vector, and a sort brings the groups together while the
     // arrival index preserves capture order within each group.
-    stream_ids: HashMap<FiveTuple, u32>,
-    streams: Vec<FiveTuple>,
+    streams: StreamTable,
     rtp_rows: Vec<RtpRow>,
     legacy: HashMap<(u32, u16), u32>,
     quic_cids: HashSet<(u32, CidBuf)>,
-    candidates: [u64; CandidateKind::MATCHER_LABELS.len()],
 }
 
 type RtpRow = (u64, u32, u16, u8);
@@ -144,14 +165,18 @@ type RtpRow = (u64, u32, u16, u8);
 impl ContextBuilder {
     /// Start accumulating observations for one call.
     pub fn new(config: &DpiConfig) -> ContextBuilder {
+        ContextBuilder::with_streams(config, StreamTable::default())
+    }
+
+    /// Start a call whose streams are already interned in `streams`; feed
+    /// it with [`observe_stream`](ContextBuilder::observe_stream).
+    pub(crate) fn with_streams(config: &DpiConfig, streams: StreamTable) -> ContextBuilder {
         ContextBuilder {
             config: *config,
-            stream_ids: HashMap::new(),
-            streams: Vec::new(),
+            streams,
             rtp_rows: Vec::new(),
             legacy: HashMap::new(),
             quic_cids: HashSet::new(),
-            candidates: [0; CandidateKind::MATCHER_LABELS.len()],
         }
     }
 
@@ -160,12 +185,14 @@ impl ContextBuilder {
         if candidates.is_empty() {
             return;
         }
-        let sid = *self.stream_ids.entry(d.five_tuple).or_insert_with(|| {
-            self.streams.push(d.five_tuple);
-            (self.streams.len() - 1) as u32
-        });
+        let sid = self.streams.intern(d.five_tuple);
+        self.observe_stream(sid, d, candidates);
+    }
+
+    /// [`observe`](ContextBuilder::observe) for a datagram whose stream
+    /// the builder's [`StreamTable`] numbered `sid`.
+    pub(crate) fn observe_stream(&mut self, sid: u32, d: &Datagram, candidates: &[Candidate]) {
         for c in candidates {
-            self.candidates[c.kind.matcher_index()] += 1;
             match c.kind {
                 CandidateKind::Rtp { ssrc, seq, .. } => {
                     let key = (sid as u64) << 32 | ssrc as u64;
@@ -189,12 +216,6 @@ impl ContextBuilder {
                 _ => {}
             }
         }
-    }
-
-    /// Candidates observed so far, indexed by
-    /// [`CandidateKind::matcher_index`].
-    pub fn candidate_counts(&self) -> [u64; CandidateKind::MATCHER_LABELS.len()] {
-        self.candidates
     }
 
     /// Validate the accumulated groups into the final [`ValidationContext`],
@@ -226,7 +247,13 @@ impl ContextBuilder {
     /// scan. Every per-stream list is sorted before it is frozen, so the
     /// outcome is independent of `threads`.
     pub fn finish_with_threads(self, threads: usize) -> ValidationContext {
-        let ContextBuilder { config, stream_ids, streams, mut rtp_rows, legacy, quic_cids, .. } = self;
+        let ContextBuilder {
+            config,
+            streams: StreamTable { ids: stream_ids, streams },
+            mut rtp_rows,
+            legacy,
+            quic_cids,
+        } = self;
         let (min_group, max_gap) = (config.rtp_min_group, config.rtp_max_seq_gap);
         bucket_sort_rows(&mut rtp_rows, min_group);
         let valid_keys: Vec<u64> = if threads <= 1 || rtp_rows.len() < 2 {
@@ -415,6 +442,65 @@ fn bucket_sort_rows(rows: &mut Vec<RtpRow>, min_group: usize) {
     });
 }
 
+/// Candidate counts indexed by [`CandidateKind::matcher_index`].
+pub(crate) type MatcherCounts = [u64; CandidateKind::MATCHER_LABELS.len()];
+
+/// Count `batch`'s candidates per matcher, then drop every RTP candidate
+/// whose `(stream, SSRC)` group has fewer than `min_group` members in the
+/// whole call, in place and before validation builds a row for it.
+/// `sids[i]` is datagram `i`'s [`StreamTable`] id.
+///
+/// Such a group can never pass [`scan_groups`], and a rejected RTP
+/// candidate leaves no trace in resolution, so the cut changes no verdict.
+/// Members are counted in a `u8` table of one slot per RTP candidate
+/// (rounded up to a power of two), indexed by a hash of the group key.
+/// Groups sharing a slot add up, and a saturated slot keeps everything:
+/// both can only keep candidates, never drop one of a large enough group.
+/// `table_len` forces the slot count (tests use it to force collisions).
+pub(crate) fn cut_noise(
+    batch: &mut CandidateBatch,
+    sids: &[u32],
+    min_group: usize,
+    table_len: Option<usize>,
+) -> MatcherCounts {
+    let mut counts = MatcherCounts::default();
+    let mut rtp = 0usize;
+    for c in batch.iter().flatten() {
+        counts[c.kind.matcher_index()] += 1;
+        rtp += matches!(c.kind, CandidateKind::Rtp { .. }) as usize;
+    }
+    // A group of one member always reaches a threshold of 0 or 1.
+    if min_group <= 1 || rtp == 0 {
+        return counts;
+    }
+    let slots = table_len.unwrap_or(rtp).next_power_of_two();
+    let (mask, mut members) = (slots - 1, vec![0u8; slots]);
+    for (cands, &sid) in batch.iter().zip(sids) {
+        for c in cands {
+            if let CandidateKind::Rtp { ssrc, .. } = c.kind {
+                let n = &mut members[group_slot(sid, ssrc, mask)];
+                *n = n.saturating_add(1);
+            }
+        }
+    }
+    batch.retain(|i, c| match c.kind {
+        CandidateKind::Rtp { ssrc, .. } => {
+            let n = members[group_slot(sids[i], ssrc, mask)];
+            n == u8::MAX || n as usize >= min_group
+        }
+        _ => true,
+    });
+    counts
+}
+
+/// [`cut_noise`]'s slot for the group `(sid, ssrc)`: the high half of a
+/// multiplicative (Fibonacci) hash of the packed key, masked.
+#[inline]
+fn group_slot(sid: u32, ssrc: u32, mask: usize) -> usize {
+    let key = (sid as u64) << 32 | ssrc as u64;
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
+}
+
 fn protocol_of(kind: &CandidateKind) -> Protocol {
     match kind {
         CandidateKind::Stun { .. } | CandidateKind::ChannelData { .. } => Protocol::StunTurn,
@@ -427,6 +513,13 @@ fn protocol_of(kind: &CandidateKind) -> Protocol {
 /// Resolve one datagram: validate candidates, enforce the one-owner rule
 /// (with defined nesting and RTP truncation), and classify the datagram.
 pub fn resolve_datagram(d: &Datagram, candidates: &[Candidate], ctx: &ValidationContext) -> DatagramDissection {
+    // One stream-key hash per datagram, and none for candidate-free ones.
+    let slot = if candidates.is_empty() { &EMPTY_SLOT } else { ctx.slot(&d.five_tuple) };
+    resolve_in_slot(d, candidates, slot)
+}
+
+/// [`resolve_datagram`] against the datagram's stream slot, already found.
+pub(crate) fn resolve_in_slot(d: &Datagram, candidates: &[Candidate], slot: &StreamSlot) -> DatagramDissection {
     struct Accepted {
         kind: CandidateKind,
         offset: usize,
@@ -435,8 +528,6 @@ pub fn resolve_datagram(d: &Datagram, candidates: &[Candidate], ctx: &Validation
     }
 
     let payload = &d.payload;
-    // One stream-key hash per datagram, and none for candidate-free ones.
-    let slot = if candidates.is_empty() { &EMPTY_SLOT } else { ctx.slot(&d.five_tuple) };
     let mut accepted: Vec<Accepted> = Vec::new();
     let mut free = 0usize; // next unclaimed top-level byte
     let mut container: Option<(usize, usize)> = None; // nested-allowed region
@@ -518,10 +609,13 @@ pub fn resolve_datagram(d: &Datagram, candidates: &[Candidate], ctx: &Validation
                     }
                 }
             }
-            // New containers: ChannelData payloads and STUN DATA attributes.
-            container = match (c.kind, c.data_attr) {
-                (CandidateKind::ChannelData { .. }, _) => Some((offset + 4, end)),
-                (CandidateKind::Stun { .. }, Some((s, e))) => Some((offset + s as usize, offset + e as usize)),
+            // New containers: ChannelData payloads and STUN DATA attributes
+            // (re-read here: few STUN candidates get this far).
+            container = match c.kind {
+                CandidateKind::ChannelData { .. } => Some((offset + 4, end)),
+                CandidateKind::Stun { .. } => {
+                    stun_data_range(&payload[offset..]).map(|(s, e)| (offset + s, offset + e))
+                }
                 _ => None,
             };
             container_nested = 0;
@@ -803,12 +897,12 @@ mod tests {
                     expect[(key >> 32) as usize].push(key as u32);
                 }
                 for threads in [1usize, 3] {
-                    let builder = ContextBuilder {
-                        stream_ids: tuples.iter().enumerate().map(|(i, t)| (*t, i as u32)).collect(),
-                        streams: tuples.clone(),
-                        rtp_rows: rows.clone(),
-                        ..ContextBuilder::new(&config)
-                    };
+                    let mut streams = StreamTable::default();
+                    for t in &tuples {
+                        streams.intern(*t);
+                    }
+                    let builder =
+                        ContextBuilder { rtp_rows: rows.clone(), ..ContextBuilder::with_streams(&config, streams) };
                     let ctx = builder.finish_with_threads(threads);
                     for (sid, t) in tuples.iter().enumerate() {
                         let mut want = expect[sid].clone();

@@ -224,3 +224,53 @@ fn derived_blocklist_reproduces_builtin_filtering() {
     assert_eq!(with_builtin.rtc.udp_datagrams, with_derived.rtc.udp_datagrams);
     assert_eq!(with_builtin.stage2.tcp_streams, with_derived.stage2.tcp_streams);
 }
+
+/// The DPI's noise cut (RTP candidates of groups too small to validate
+/// are dropped before validation) changes nothing: on every call of the
+/// smoke matrix, `dissect_call_sampled` equals the unpruned public
+/// stepwise path, serial and on three threads.
+#[test]
+fn noise_cut_matches_the_unpruned_stepwise_path_on_every_smoke_call() {
+    use rtc_core::dpi::{CandidateBatch, DatagramClass, DpiConfig};
+    let config = StudyConfig::smoke(4_242);
+    let (mut calls, mut cut) = (0, 0);
+    for app in config.experiment.applications() {
+        for network in config.experiment.network_configs() {
+            let cap = rtc_core::capture::run_call(&config.experiment, app, network, 0);
+            let datagrams = cap.trace.datagrams();
+            let fr = rtc_core::filter::run(&datagrams, cap.manifest.call_window(), &config.filter);
+            let rtc_udp = fr.rtc_udp_datagrams();
+            for threads in [1usize, 3] {
+                let dpi = DpiConfig { threads, parallel_threshold: 1, ..config.dpi };
+                let mut batch = CandidateBatch::with_capacity(rtc_udp.len());
+                for d in &rtc_udp {
+                    batch.push_payload(&d.payload, dpi.max_offset);
+                }
+                let mut builder = rtc_core::dpi::resolve::ContextBuilder::new(&dpi);
+                for (i, d) in rtc_udp.iter().enumerate() {
+                    builder.observe(d, batch.get(i));
+                }
+                let mut ctx = builder.finish();
+                let (dissections, _) = rtc_core::dpi::par::resolve_all(&rtc_udp, &batch, &ctx, &dpi, 0);
+                let mut want = rtc_core::dpi::CallDissection::default();
+                for (dd, d) in dissections.iter().zip(&rtc_udp) {
+                    if dd.class == DatagramClass::FullyProprietary {
+                        *want.rejections.entry(rtc_core::dpi::rejection_key(&d.payload).into_owned()).or_default() +=
+                            1;
+                    }
+                }
+                want.datagrams = dissections;
+                want.rtp_ssrcs = std::mem::take(&mut ctx.rtp_ssrcs);
+
+                let (got, stats) = rtc_core::dpi::dissect_call_sampled(&rtc_udp, &dpi, 0);
+                assert!(got == want, "{app:?}/{network}, threads {threads}: the cut changed the dissection");
+                assert_eq!(stats.candidates.iter().sum::<u64>(), batch.candidate_count() as u64, "{app:?}/{network}");
+                assert!(stats.kept_candidates <= batch.candidate_count() as u64, "{app:?}/{network}");
+                cut += batch.candidate_count() as u64 - stats.kept_candidates;
+            }
+            calls += 1;
+        }
+    }
+    assert_eq!(calls, 18, "the smoke matrix is 6 apps by 3 networks");
+    assert!(cut > 0, "the smoke calls must carry noise for the cut to drop");
+}

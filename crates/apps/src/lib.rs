@@ -234,12 +234,6 @@ impl CallScenario {
             _ => [alloc.lan_device(0), alloc.lan_device(1)],
         }
     }
-
-    /// The transmission mode at absolute time `t`.
-    pub fn mode_at(&self, t: Timestamp) -> TransmissionMode {
-        let since = t.micros_since(self.call_start) / 1_000_000;
-        self.app.transmission_mode(self.network, since)
-    }
 }
 
 /// A traffic model for one application.

@@ -104,11 +104,6 @@ impl CallManifest {
         Application::from_slug(&self.app).expect("manifest app slug")
     }
 
-    /// The network configuration.
-    pub fn network_config(&self) -> NetworkConfig {
-        NetworkConfig::from_label(&self.network).expect("manifest network label")
-    }
-
     /// The call window as timestamps.
     pub fn call_window(&self) -> (Timestamp, Timestamp) {
         (Timestamp::from_micros(self.call_start_us), Timestamp::from_micros(self.call_end_us))

@@ -104,7 +104,7 @@ pub enum Command {
         shards: usize,
         /// Per-shard bounded ingest-queue capacity, in messages.
         queue: usize,
-        /// Idle-session eviction timeout in seconds (0 disables the sweeper).
+        /// Idle-session eviction timeout in seconds (0 disables idle eviction).
         idle_secs: u64,
         /// Records per shard message on the ingest path (0 = reader default).
         chunk: usize,

@@ -64,11 +64,6 @@ impl Stream {
     pub fn is_empty(&self) -> bool {
         self.datagrams.is_empty()
     }
-
-    /// Total payload bytes.
-    pub fn payload_bytes(&self) -> usize {
-        self.datagrams.iter().map(|d| d.payload.len()).sum()
-    }
 }
 
 /// The expanded call window of stage 1: a **closed** interval
@@ -268,21 +263,6 @@ impl FilterResult {
             .flat_map(|s| s.datagrams.iter())
             .collect();
         // Stable, so same-timestamp datagrams keep stream order.
-        out.sort_by_key(|d| d.ts);
-        out
-    }
-
-    /// Like [`FilterResult::rtc_udp_datagrams`], but consumes the result
-    /// and *moves* the retained datagrams out — the owned handoff for
-    /// callers that outlive the filter result (each payload stays a
-    /// zero-copy view into its capture buffer either way).
-    pub fn into_rtc_udp_datagrams(self) -> Vec<Datagram> {
-        let mut out: Vec<Datagram> = self
-            .rtc_streams
-            .into_iter()
-            .filter(|s| s.tuple.transport == Transport::Udp)
-            .flat_map(|s| s.datagrams)
-            .collect();
         out.sort_by_key(|d| d.ts);
         out
     }

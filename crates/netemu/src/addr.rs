@@ -10,9 +10,6 @@
 use crate::rng::DetRng;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
 
-/// The lab router's WAN (public) address.
-pub const ROUTER_WAN_IP: Ipv4Addr = Ipv4Addr::new(93, 184, 216, 34);
-
 /// Allocates device, server and ephemeral-port addresses.
 #[derive(Debug, Clone)]
 pub struct AddressAllocator {
@@ -44,11 +41,6 @@ impl AddressAllocator {
     /// the paper's Verizon setup).
     pub fn cellular_device(&self, idx: usize) -> IpAddr {
         Ipv4Addr::new(174, 192, 14, 21 + idx as u8).into()
-    }
-
-    /// The public address the router maps LAN flows to.
-    pub fn router_wan(&self) -> IpAddr {
-        ROUTER_WAN_IP.into()
     }
 
     /// An IPv6 link-local address for LAN management noise.

@@ -55,11 +55,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-/// Bytes currently allocated and not yet freed.
-pub fn live_bytes() -> usize {
-    LIVE.load(Ordering::Relaxed)
-}
-
 /// Start a fresh high-water measurement from the current live footprint;
 /// returns that baseline for a later [`peak_since`] call.
 pub fn reset_peak() -> usize {

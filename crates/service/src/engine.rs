@@ -10,9 +10,12 @@
 //! * a per-tenant partial [`rtc_report::Aggregator`] absorbing finished
 //!   sessions through the same [`rtc_core::absorb_analysis`] path the
 //!   batch and streaming drivers use,
-//! * a bounded ingest queue ([`crate::channel`]): when the shard falls
-//!   behind, `send` blocks the sources feeding it — backpressure, not
-//!   buffering.
+//! * a bounded ingest queue (`std::sync::mpsc::sync_channel`): when the
+//!   shard falls behind, `send` blocks the sources feeding it —
+//!   backpressure, not buffering,
+//! * its idle sweep: with an idle timeout set, the worker's receive
+//!   times out at each sweep deadline and the worker finishes its own
+//!   idle sessions, so no other thread touches the shard.
 //!
 //! Reports merge shard-partial aggregators per tenant
 //! ([`rtc_report::Aggregator::merge`] is order-invariant) and sort call
@@ -20,7 +23,6 @@
 //! analyzing each tenant's calls offline in one batch — the differential
 //! suite in `tests/` proves it across shard counts and interleavings.
 
-use crate::channel::{self, Sender};
 use rtc_capture::CallManifest;
 use rtc_core::pipeline::{CallMeta, CallSession, PipelineStats};
 use rtc_core::{StudyConfig, StudyReport};
@@ -28,7 +30,8 @@ use rtc_pcap::trace::Record;
 use rtc_report::Aggregator;
 use std::collections::{BTreeMap, HashMap};
 use std::io::Read;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -81,9 +84,10 @@ pub struct ServiceConfig {
     /// Bounded per-shard ingest queue capacity, in messages.
     pub queue_capacity: usize,
     /// Evict sessions with no ingest activity for this long (via
-    /// `finish()`, so their partial traffic still reports). `ZERO`
-    /// disables the idle sweeper — sessions then end only on explicit
-    /// finish or shutdown.
+    /// `finish()`, so their partial traffic still reports). Each shard
+    /// worker sweeps its own sessions every `max(idle_timeout / 4, 10 ms)`
+    /// between messages. `ZERO` disables eviction — sessions then end only
+    /// on explicit finish or shutdown.
     pub idle_timeout: Duration,
     /// Pcap records per ingest chunk when streaming a capture in
     /// (0 = the `rtc_pcap` reader default).
@@ -94,7 +98,7 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Defaults: 4 shards, 64-message queues, no idle sweeper.
+    /// Defaults: 4 shards, 64-message queues, no idle eviction.
     pub fn new(study: StudyConfig) -> ServiceConfig {
         ServiceConfig { shards: 4, queue_capacity: 64, idle_timeout: Duration::ZERO, chunk_records: 0, study }
     }
@@ -104,7 +108,6 @@ enum ShardMsg {
     Open { key: SessionKey, manifest: CallManifest },
     Records { key: SessionKey, records: Vec<Record> },
     Finish { key: SessionKey },
-    Sweep { deadline: Instant },
 }
 
 struct LiveSession {
@@ -114,6 +117,7 @@ struct LiveSession {
 
 /// Mutable per-shard state. The shard worker takes the lock once per
 /// message; report endpoints take it briefly to clone the partials.
+#[derive(Default)]
 struct ShardState {
     sessions: HashMap<SessionKey, LiveSession>,
     tenants: BTreeMap<String, Aggregator>,
@@ -127,20 +131,6 @@ struct ShardState {
     evicted: u64,
 }
 
-impl ShardState {
-    fn new() -> ShardState {
-        ShardState {
-            sessions: HashMap::new(),
-            tenants: BTreeMap::new(),
-            tenant_stats: BTreeMap::new(),
-            errors: Vec::new(),
-            opened: 0,
-            finished: 0,
-            evicted: 0,
-        }
-    }
-}
-
 struct ShardGauges {
     active: rtc_obs::Gauge,
     queue_depth: rtc_obs::Gauge,
@@ -151,13 +141,30 @@ struct ShardGauges {
 }
 
 struct Shard {
-    sender: Sender<ShardMsg>,
+    sender: SyncSender<ShardMsg>,
+    /// Messages sent but not yet received, counting senders blocked on a
+    /// full queue. Senders increment it before `send`; the worker
+    /// decrements it per message received.
+    depth: Arc<AtomicUsize>,
     state: Arc<Mutex<ShardState>>,
-    worker: Option<std::thread::JoinHandle<()>>,
+    worker: std::thread::JoinHandle<()>,
+}
+
+impl Shard {
+    fn send(&self, msg: ShardMsg) -> std::io::Result<()> {
+        // Relaxed suffices: the channel orders this increment before the
+        // worker's matching decrement, so the count never wraps.
+        self.depth.fetch_add(1, Ordering::Relaxed);
+        self.sender.send(msg).map_err(|_| {
+            self.depth.fetch_sub(1, Ordering::Relaxed);
+            std::io::Error::other("engine shut down")
+        })
+    }
 }
 
 /// Aggregate results of a full service run, produced by
 /// [`Engine::shutdown`].
+#[derive(Default)]
 pub struct ServiceSummary {
     /// Per-tenant sealed reports (canonically sorted call order).
     pub reports: BTreeMap<String, StudyReport>,
@@ -167,7 +174,7 @@ pub struct ServiceSummary {
     pub errors: Vec<SessionError>,
     /// Sessions completed via explicit finish or shutdown drain.
     pub finished: u64,
-    /// Sessions completed by the idle sweeper.
+    /// Sessions completed by the idle sweep.
     pub evicted: u64,
 }
 
@@ -180,11 +187,12 @@ pub struct EngineStatus {
     pub opened: u64,
     /// Sessions finished so far (explicit finish; excludes evictions).
     pub finished: u64,
-    /// Sessions evicted by the idle sweeper so far.
+    /// Sessions evicted by the idle sweep so far.
     pub evicted: u64,
     /// Sessions errored so far.
     pub errors: usize,
-    /// Queued ingest messages per shard.
+    /// Ingest messages sent to each shard and not yet received by its
+    /// worker, counting those whose sender is blocked on a full queue.
     pub queue_depths: Vec<usize>,
 }
 
@@ -193,19 +201,23 @@ pub struct EngineStatus {
 pub struct Engine {
     shards: Vec<Shard>,
     config: ServiceConfig,
-    janitor: Option<std::thread::JoinHandle<()>>,
-    janitor_stop: Arc<AtomicBool>,
 }
 
 impl Engine {
-    /// Start the shard workers (and the idle sweeper when configured).
-    pub fn start(config: ServiceConfig) -> Engine {
+    /// Start the shard workers. A DPI thread count of 0 becomes an equal
+    /// share of the machine per shard (at least one), as the batch and
+    /// sharded drivers divide it; an explicit count is kept.
+    pub fn start(mut config: ServiceConfig) -> Engine {
         assert!(config.shards > 0, "engine needs at least one shard");
+        if config.study.dpi.threads == 0 {
+            config.study.dpi.threads = (rtc_core::dpi::par::hardware_threads() / config.shards).max(1);
+        }
         let obs = &config.study.obs;
         let mut shards = Vec::with_capacity(config.shards);
         for shard_index in 0..config.shards {
-            let (sender, receiver) = channel::bounded::<ShardMsg>(config.queue_capacity.max(1));
-            let state = Arc::new(Mutex::new(ShardState::new()));
+            let (sender, receiver) = std::sync::mpsc::sync_channel(config.queue_capacity.max(1));
+            let depth = Arc::new(AtomicUsize::new(0));
+            let state = Arc::new(Mutex::new(ShardState::default()));
             let label = shard_index.to_string();
             let gauges = ShardGauges {
                 active: obs.gauge(
@@ -231,34 +243,20 @@ impl Engine {
                     "pcap records ingested",
                 ),
             };
-            let worker_state = Arc::clone(&state);
-            let worker_config = config.study.clone();
+            let worker = ShardWorker {
+                depth: Arc::clone(&depth),
+                state: Arc::clone(&state),
+                study: config.study.clone(),
+                gauges,
+                idle_timeout: config.idle_timeout,
+            };
             let worker = std::thread::Builder::new()
                 .name(format!("rtc-shard-{shard_index}"))
-                .spawn(move || shard_worker(receiver, worker_state, worker_config, gauges))
+                .spawn(move || worker.run(receiver))
                 .expect("spawn shard worker");
-            shards.push(Shard { sender, state, worker: Some(worker) });
+            shards.push(Shard { sender, depth, state, worker });
         }
-        let janitor_stop = Arc::new(AtomicBool::new(false));
-        let janitor = (config.idle_timeout > Duration::ZERO).then(|| {
-            let stop = Arc::clone(&janitor_stop);
-            let senders: Vec<Sender<ShardMsg>> = shards.iter().map(|s| s.sender.clone()).collect();
-            let timeout = config.idle_timeout;
-            std::thread::Builder::new()
-                .name("rtc-service-janitor".into())
-                .spawn(move || {
-                    let period = (timeout / 4).max(Duration::from_millis(10));
-                    while !stop.load(Ordering::Acquire) {
-                        std::thread::sleep(period);
-                        let Some(deadline) = Instant::now().checked_sub(timeout) else { continue };
-                        for s in &senders {
-                            let _ = s.send(ShardMsg::Sweep { deadline });
-                        }
-                    }
-                })
-                .expect("spawn janitor")
-        });
-        Engine { shards, config, janitor, janitor_stop }
+        Engine { shards, config }
     }
 
     /// The engine's configuration.
@@ -268,10 +266,6 @@ impl Engine {
 
     fn shard_of(&self, key: &SessionKey) -> &Shard {
         &self.shards[key.shard(self.shards.len())]
-    }
-
-    fn send(&self, key: &SessionKey, msg: ShardMsg) -> std::io::Result<()> {
-        self.shard_of(key).sender.send(msg).map_err(|_| std::io::Error::other("engine shut down"))
     }
 
     /// Open a session. Validates the manifest's app slug and network
@@ -289,20 +283,19 @@ impl Engine {
                 format!("unknown network label {:?}", manifest.network),
             ));
         }
-        let shard = self.shard_of(&key);
-        shard.sender.send(ShardMsg::Open { key, manifest }).map_err(|_| std::io::Error::other("engine shut down"))
+        self.shard_of(&key).send(ShardMsg::Open { key, manifest })
     }
 
     /// Feed records to a live session. Blocks when the shard queue is
     /// full (backpressure).
     pub fn push_records(&self, key: &SessionKey, records: Vec<Record>) -> std::io::Result<()> {
-        self.send(key, ShardMsg::Records { key: key.clone(), records })
+        self.shard_of(key).send(ShardMsg::Records { key: key.clone(), records })
     }
 
     /// Finish a session: runs the remaining pipeline stages and folds the
     /// call into its tenant's aggregation.
     pub fn finish(&self, key: &SessionKey) -> std::io::Result<()> {
-        self.send(key, ShardMsg::Finish { key: key.clone() })
+        self.shard_of(key).send(ShardMsg::Finish { key: key.clone() })
     }
 
     /// Ingest one complete call from a pcap byte stream, chunk by chunk:
@@ -347,7 +340,7 @@ impl Engine {
             status.finished += st.finished;
             status.evicted += st.evicted;
             status.errors += st.errors.len();
-            status.queue_depths.push(shard.sender.len());
+            status.queue_depths.push(shard.depth.load(Ordering::Relaxed));
         }
         status
     }
@@ -357,91 +350,57 @@ impl Engine {
     /// included (they have not finished); a tenant whose sessions all
     /// errored still reports, with empty data and populated `failures`.
     pub fn tenant_reports(&self) -> BTreeMap<String, StudyReport> {
-        let mut merged: BTreeMap<String, (Aggregator, PipelineStats)> = BTreeMap::new();
-        let mut errors: Vec<SessionError> = Vec::new();
-        for shard in &self.shards {
-            let st = shard.state.lock().expect("shard state poisoned");
-            for (tenant, agg) in &st.tenants {
-                merged.entry(tenant.clone()).or_default().0.merge(agg.clone());
-            }
-            for (tenant, stats) in &st.tenant_stats {
-                merged.entry(tenant.clone()).or_default().1.absorb(stats);
-            }
-            errors.extend(st.errors.iter().cloned());
-        }
-        for e in &errors {
-            merged.entry(e.key.tenant.clone()).or_default();
-        }
-        merged
-            .into_iter()
-            .map(|(tenant, (agg, stats))| {
-                let report = seal_report(&tenant, agg, &stats, &errors);
-                (tenant, report)
-            })
-            .collect()
+        summarize(self.shards.iter().map(|shard| shard.state.as_ref())).reports
     }
 
     /// Stop ingesting, finish every live session, join the workers, and
     /// seal the per-tenant reports.
-    pub fn shutdown(mut self) -> ServiceSummary {
-        self.janitor_stop.store(true, Ordering::Release);
-        if let Some(j) = self.janitor.take() {
-            let _ = j.join();
+    pub fn shutdown(self) -> ServiceSummary {
+        // Each shard's only sender drops with the rest of its `Shard`,
+        // closing the queue; the worker drains pending messages, finishes
+        // remaining live sessions, and exits. Every queue closes before
+        // the first join, so the shards drain in parallel.
+        let (states, workers): (Vec<_>, Vec<_>) = self.shards.into_iter().map(|s| (s.state, s.worker)).unzip();
+        for worker in workers {
+            let _ = worker.join();
         }
-        let mut merged: BTreeMap<String, (Aggregator, PipelineStats)> = BTreeMap::new();
-        let mut summary = ServiceSummary {
-            reports: BTreeMap::new(),
-            stats: PipelineStats::default(),
-            errors: Vec::new(),
-            finished: 0,
-            evicted: 0,
-        };
-        // Dropping a shard's only sender closes its queue; the worker
-        // drains pending messages, finishes remaining live sessions, and
-        // exits.
-        for shard in std::mem::take(&mut self.shards) {
-            let Shard { sender, state, worker } = shard;
-            drop(sender);
-            if let Some(w) = worker {
-                let _ = w.join();
-            }
-            let st = state.lock().expect("shard state poisoned");
-            for (tenant, agg) in &st.tenants {
-                merged.entry(tenant.clone()).or_default().0.merge(agg.clone());
-            }
-            for (tenant, stats) in &st.tenant_stats {
-                merged.entry(tenant.clone()).or_default().1.absorb(stats);
-            }
-            summary.errors.extend(st.errors.iter().cloned());
-            summary.finished += st.finished;
-            summary.evicted += st.evicted;
-        }
-        for e in &summary.errors {
-            merged.entry(e.key.tenant.clone()).or_default();
-        }
-        // Engine-wide stats fold over the per-tenant partials: stage
-        // counters add, the residency high-water mark takes the max.
-        for (_, stats) in merged.values() {
-            summary.stats.absorb(stats);
-        }
-        summary.reports = merged
-            .into_iter()
-            .map(|(tenant, (agg, stats))| {
-                let report = seal_report(&tenant, agg, &stats, &summary.errors);
-                (tenant, report)
-            })
-            .collect();
-        summary
+        summarize(states.iter().map(Arc::as_ref))
     }
 }
 
-impl Drop for Engine {
-    fn drop(&mut self) {
-        // An engine dropped without `shutdown()` must not leave the
-        // janitor looping forever; the shard workers exit on their own
-        // once the senders drop with the struct.
-        self.janitor_stop.store(true, Ordering::Release);
+/// Merge shard partials per tenant and seal one report per tenant (a
+/// tenant whose sessions all errored still reports). Engine-wide stats
+/// fold over the per-tenant partials: stage counters add, the residency
+/// high-water mark takes the max.
+fn summarize<'a>(states: impl Iterator<Item = &'a Mutex<ShardState>>) -> ServiceSummary {
+    let mut merged: BTreeMap<String, (Aggregator, PipelineStats)> = BTreeMap::new();
+    let mut summary = ServiceSummary::default();
+    for state in states {
+        let st = state.lock().expect("shard state poisoned");
+        for (tenant, agg) in &st.tenants {
+            merged.entry(tenant.clone()).or_default().0.merge(agg.clone());
+        }
+        for (tenant, stats) in &st.tenant_stats {
+            merged.entry(tenant.clone()).or_default().1.absorb(stats);
+        }
+        summary.errors.extend(st.errors.iter().cloned());
+        summary.finished += st.finished;
+        summary.evicted += st.evicted;
     }
+    for e in &summary.errors {
+        merged.entry(e.key.tenant.clone()).or_default();
+    }
+    for (_, stats) in merged.values() {
+        summary.stats.absorb(stats);
+    }
+    summary.reports = merged
+        .into_iter()
+        .map(|(tenant, (agg, stats))| {
+            let report = seal_report(&tenant, agg, &stats, &summary.errors);
+            (tenant, report)
+        })
+        .collect();
+    summary
 }
 
 /// Seal one tenant's merged aggregation into a renderable [`StudyReport`].
@@ -478,16 +437,59 @@ fn seal_report(tenant: &str, agg: Aggregator, stats: &PipelineStats, errors: &[S
     }
 }
 
-fn shard_worker(
-    receiver: channel::Receiver<ShardMsg>,
+/// One shard's worker thread: everything it owns besides its receiver.
+struct ShardWorker {
+    depth: Arc<AtomicUsize>,
     state: Arc<Mutex<ShardState>>,
     study: StudyConfig,
     gauges: ShardGauges,
-) {
-    loop {
-        gauges.queue_depth.set(receiver.len() as u64);
-        let Some(msg) = receiver.recv() else { break };
-        let mut st = state.lock().expect("shard state poisoned");
+    idle_timeout: Duration,
+}
+
+impl ShardWorker {
+    /// Serve the queue until every sender is gone, sweeping idle sessions
+    /// at each sweep deadline when an idle timeout is set, then finish
+    /// every remaining live session (graceful shutdown drains, it never
+    /// discards).
+    fn run(self, receiver: Receiver<ShardMsg>) {
+        let sweep_period = (self.idle_timeout / 4).max(Duration::from_millis(10));
+        let mut next_sweep = Instant::now() + sweep_period;
+        loop {
+            let received = if self.idle_timeout.is_zero() {
+                receiver.recv().map_err(|_| RecvTimeoutError::Disconnected)
+            } else {
+                receiver.recv_timeout(next_sweep.saturating_duration_since(Instant::now()))
+            };
+            match received {
+                Ok(msg) => {
+                    let depth = self.depth.fetch_sub(1, Ordering::Relaxed) - 1;
+                    self.gauges.queue_depth.set(depth as u64);
+                    self.handle(msg);
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
+            if !self.idle_timeout.is_zero() && Instant::now() >= next_sweep {
+                self.sweep();
+                next_sweep = Instant::now() + sweep_period;
+            }
+        }
+        let mut st = self.state.lock().expect("shard state poisoned");
+        let remaining: Vec<SessionKey> = st.sessions.keys().cloned().collect();
+        for key in remaining {
+            let live = st.sessions.remove(&key).expect("key just listed");
+            finish_session(&mut st, key, live, &self.study);
+            st.finished += 1;
+            self.gauges.finished.add(1);
+        }
+        self.gauges.active.set(0);
+        self.gauges.retained.set(0);
+        self.gauges.queue_depth.set(0);
+    }
+
+    fn handle(&self, msg: ShardMsg) {
+        let gauges = &self.gauges;
+        let mut st = self.state.lock().expect("shard state poisoned");
         match msg {
             ShardMsg::Open { key, manifest } => {
                 let meta = CallMeta::of(&manifest);
@@ -498,9 +500,9 @@ fn shard_worker(
                         network: meta.network,
                         error: "duplicate open for live session".into(),
                     });
-                    continue;
+                    return;
                 }
-                let session = CallSession::new(meta, &study);
+                let session = CallSession::new(meta, &self.study);
                 st.sessions.insert(key, LiveSession { session, last_activity: Instant::now() });
                 st.opened += 1;
                 gauges.active.set(st.sessions.len() as u64);
@@ -523,7 +525,7 @@ fn shard_worker(
                         }));
                         gauges.records.add(n);
                         if let Err(panic) = outcome {
-                            let error = crate::panic_text(panic.as_ref());
+                            let error = rtc_core::panic_message(panic.as_ref());
                             let meta = live.session.meta().clone();
                             st.sessions.remove(&key);
                             st.errors.push(SessionError { key, app: meta.app, network: meta.network, error });
@@ -543,39 +545,34 @@ fn shard_worker(
                         error: "finish for unknown session".into(),
                     }),
                     Some(live) => {
-                        finish_session(&mut st, key, live, &study);
+                        finish_session(&mut st, key, live, &self.study);
                         st.finished += 1;
                         gauges.finished.add(1);
                     }
                 }
                 gauges.active.set(st.sessions.len() as u64);
             }
-            ShardMsg::Sweep { deadline } => {
-                let idle: Vec<SessionKey> =
-                    st.sessions.iter().filter(|(_, l)| l.last_activity <= deadline).map(|(k, _)| k.clone()).collect();
-                for key in idle {
-                    let live = st.sessions.remove(&key).expect("key just listed");
-                    finish_session(&mut st, key, live, &study);
-                    st.evicted += 1;
-                    gauges.evictions.add(1);
-                }
-                gauges.active.set(st.sessions.len() as u64);
-            }
         }
     }
-    // Channel closed: finish every remaining live session (graceful
-    // shutdown drains, it never discards).
-    let mut st = state.lock().expect("shard state poisoned");
-    let remaining: Vec<SessionKey> = st.sessions.keys().cloned().collect();
-    for key in remaining {
-        let live = st.sessions.remove(&key).expect("key just listed");
-        finish_session(&mut st, key, live, &study);
-        st.finished += 1;
-        gauges.finished.add(1);
+
+    /// Finish every session idle for at least the idle timeout.
+    fn sweep(&self) {
+        let mut st = self.state.lock().expect("shard state poisoned");
+        let now = Instant::now();
+        let idle: Vec<SessionKey> = st
+            .sessions
+            .iter()
+            .filter(|(_, l)| now.duration_since(l.last_activity) >= self.idle_timeout)
+            .map(|(k, _)| k.clone())
+            .collect();
+        for key in idle {
+            let live = st.sessions.remove(&key).expect("key just listed");
+            finish_session(&mut st, key, live, &self.study);
+            st.evicted += 1;
+            self.gauges.evictions.add(1);
+        }
+        self.gauges.active.set(st.sessions.len() as u64);
     }
-    gauges.active.set(0);
-    gauges.retained.set(0);
-    gauges.queue_depth.set(0);
 }
 
 fn finish_session(st: &mut ShardState, key: SessionKey, live: LiveSession, study: &StudyConfig) {
@@ -590,7 +587,7 @@ fn finish_session(st: &mut ShardState, key: SessionKey, live: LiveSession, study
             rtc_core::absorb_analysis(agg, stats, analysis, &study.obs);
         }
         Err(panic) => {
-            let error = crate::panic_text(panic.as_ref());
+            let error = rtc_core::panic_message(panic.as_ref());
             errors.push(SessionError { key, app: meta.app, network: meta.network, error });
         }
     }

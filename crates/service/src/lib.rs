@@ -12,17 +12,19 @@
 //!   each shard owns its [`rtc_core::pipeline::CallSession`]s and
 //!   processes them on one thread, so per-session processing is
 //!   single-threaded and deterministic no matter how ingest is scheduled.
-//! * **Bounded queues with backpressure** ([`channel`]) — every shard's
-//!   ingest queue is a bounded blocking MPSC; a slow shard stalls exactly
-//!   the sources feeding it (through to TCP flow control on the HTTP
-//!   path), never buffering unboundedly.
+//! * **Bounded queues with backpressure** — every shard's ingest queue is
+//!   a `std::sync::mpsc::sync_channel`, a bounded blocking MPSC; a slow
+//!   shard stalls exactly the sources feeding it (through to TCP flow
+//!   control on the HTTP path), never buffering unboundedly.
 //! * **Bounded per-session memory** — sessions are the PR-3 streaming
 //!   pipeline: the online filter drops non-RTC traffic as it is proven
 //!   uninteresting, so a session retains O(live streams + one call's RTC
 //!   traffic).
 //! * **Idle eviction via `finish()`** — sessions with no ingest activity
 //!   past the configured timeout are finished, not discarded: their
-//!   partial traffic still reaches the tenant's report.
+//!   partial traffic still reaches the tenant's report. Each shard worker
+//!   sweeps its own sessions from a timed receive; there is no sweeper
+//!   thread.
 //! * **Per-tenant incremental aggregation** — finished sessions fold into
 //!   per-shard per-tenant [`rtc_report::Aggregator`]s; report endpoints
 //!   merge the shard partials (order-invariant) and canonicalize call
@@ -36,16 +38,15 @@
 //!   of staggered calls through the engine (in-process, deterministic
 //!   virtual time) or over HTTP ([`server::drive_fleet_http`]).
 //!
-//! The concurrency substrate is plain threads + blocking bounded
-//! channels rather than an async runtime: the vendored offline toolchain
-//! ships no executor, and nothing here needs one — the design is
-//! executor-agnostic (each shard is a serial event loop over an ingest
-//! queue; swap the queue and the spawn call to port it onto any runtime).
+//! The concurrency substrate is plain threads + std's bounded channels
+//! rather than an async runtime: the vendored offline toolchain ships no
+//! executor, and nothing here needs one — the design is executor-agnostic
+//! (each shard is a serial event loop over an ingest queue; swap the
+//! queue and the spawn call to port it onto any runtime).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod channel;
 pub mod engine;
 pub mod fleet;
 pub mod server;
@@ -57,14 +58,3 @@ pub mod signal;
 pub use engine::{Engine, EngineStatus, ServiceConfig, ServiceSummary, SessionError, SessionKey};
 pub use fleet::{batch_reports, drive_fleet, DriveStats, FleetDriveOptions};
 pub use server::{drive_fleet_http, http_get, http_post, serve, ServiceFlags};
-
-/// Best-effort text of a caught panic payload.
-pub(crate) fn panic_text(e: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}

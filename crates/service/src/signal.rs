@@ -15,11 +15,6 @@ pub fn shutdown_requested() -> bool {
     SHUTDOWN_REQUESTED.load(Ordering::Acquire)
 }
 
-/// Test hook / `POST /shutdown` equivalent: raise the flag by hand.
-pub fn request_shutdown() {
-    SHUTDOWN_REQUESTED.store(true, Ordering::Release);
-}
-
 #[cfg(unix)]
 #[allow(unsafe_code)]
 mod sys {

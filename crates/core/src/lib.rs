@@ -291,13 +291,10 @@ impl Study {
         // govern the study's cross-call pool too.
         let cores = rtc_dpi::par::hardware_threads();
         let workers = cores.min(captures.len().max(1));
-        // Cross-call and intra-call parallelism share the same cores: unless
-        // the caller pinned a DPI thread count, give each call's candidate
-        // extraction an equal share of the machine (at least one thread).
+        // Cross-call and intra-call parallelism share the same cores, so
+        // each worker's calls get an equal share of them.
         let mut config = config.clone();
-        if config.dpi.threads == 0 {
-            config.dpi.threads = (cores / workers).max(1);
-        }
+        config.dpi.threads = rtc_dpi::par::share_threads(config.dpi.threads, workers);
         let config = &config;
         let mut analyses: Vec<Option<(CallAnalysis, pipeline::PipelineStats)>> =
             (0..captures.len()).map(|_| None).collect();
@@ -371,15 +368,13 @@ fn record_study_totals(obs: &rtc_obs::MetricsRegistry, analyzed: u64, failed: u6
     obs.counter("rtc_study_call_failures_total", &[], "Calls whose analysis failed and was excluded.").add(failed);
 }
 
-/// Fold one call's analysis into the aggregator (the pipeline's fifth
+/// Fold one completed call into the aggregator (the pipeline's fifth
 /// stage), timing it under [`pipeline::StageKind::Aggregate`]. Only the
 /// compact by-products survive: the record, findings, header-profile
-/// summaries, and SSRC inventory — the dissection is dropped here.
-/// Fold one completed call into an aggregator (and the aggregate-stage
-/// counters): header-profile summaries, SSRC inventory, findings, record.
-/// The batch driver, the streaming driver, and the live service all absorb
-/// through this one path, which is what makes their reports comparable
-/// byte for byte.
+/// summaries and SSRC inventory; the dissection is dropped here. The batch
+/// driver, the streaming driver and the live service all absorb through
+/// this one path, which is what makes their reports comparable byte for
+/// byte.
 pub fn absorb_analysis(
     aggregate: &mut rtc_report::Aggregator,
     stats: &mut pipeline::PipelineStats,

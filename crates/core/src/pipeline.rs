@@ -153,9 +153,11 @@ impl PipelineStats {
 }
 
 /// Sample interval for per-datagram resolve timing: every Nth datagram's
-/// `resolve_datagram` call is clocked and attributed to the matcher of its
-/// first validated message. Sampling keeps the `Instant` overhead out of
-/// the hot loop while still populating latency distributions.
+/// resolution (`resolve_in_slot`, reached through
+/// [`rtc_dpi::dissect_call_sampled`]) is clocked and attributed to the
+/// matcher of its first validated message. Sampling keeps the `Instant`
+/// overhead out of the hot loop while still populating latency
+/// distributions.
 const RESOLVE_SAMPLE: usize = 64;
 
 // ---------------------------------------------------------------------------

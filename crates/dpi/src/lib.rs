@@ -238,7 +238,9 @@ pub struct DissectStats {
     /// candidates of groups too small to validate.
     pub kept_candidates: u64,
     /// `(datagram index, nanoseconds)`: the wall-clocked resolution of every
-    /// `sample_every`-th datagram, in index order (see [`par::resolve_all`]).
+    /// `sample_every`-th datagram, in index order (timed in
+    /// `par::resolve_interned`, the interned-stream form of
+    /// [`par::resolve_all`]).
     pub resolve_ns: Vec<(usize, u64)>,
 }
 

@@ -133,21 +133,31 @@ pub fn hardware_threads() -> usize {
     detected.max(1)
 }
 
+/// The DPI thread count for each of `workers` concurrent workers sharing
+/// the machine: an explicit `threads` is kept, and 0 becomes an equal share
+/// of [`hardware_threads`], at least one. `workers` of 0 counts as 1.
+///
+/// The single place that resolves `DpiConfig::threads`: the study, shard
+/// and service drivers call it with their worker count, the DPI stages
+/// with 1.
+pub fn share_threads(threads: usize, workers: usize) -> usize {
+    match threads {
+        0 => (hardware_threads() / workers.max(1)).max(1),
+        n => n,
+    }
+}
+
 /// How many worker threads the scheduler will use for a workload of
 /// `n_datagrams` under `config` — 1 means the sequential path.
 ///
 /// Below [`DpiConfig::parallel_threshold`] the answer is always 1;
-/// otherwise `config.threads` workers (0 = [`hardware_threads`]), never
-/// more than there are chunks.
+/// otherwise `config.threads` workers (0 = [`hardware_threads`], see
+/// [`share_threads`]), never more than there are chunks.
 pub fn planned_threads(n_datagrams: usize, config: &DpiConfig) -> usize {
     if n_datagrams < config.parallel_threshold.max(1) {
         return 1;
     }
-    let requested = match config.threads {
-        0 => hardware_threads(),
-        n => n,
-    };
-    requested.clamp(1, n_datagrams.div_ceil(CHUNK_DATAGRAMS))
+    share_threads(config.threads, 1).min(n_datagrams.div_ceil(CHUNK_DATAGRAMS))
 }
 
 /// Extract candidates for every datagram of one call, in input order,
@@ -340,6 +350,19 @@ mod tests {
         assert!(hw >= 1);
         let planned = planned_threads(100 * CHUNK_DATAGRAMS, &config);
         assert_eq!(planned, hw.clamp(1, 100));
+    }
+
+    #[test]
+    fn share_threads_keeps_explicit_counts_and_divides_the_machine() {
+        let hw = hardware_threads();
+        assert_eq!(share_threads(3, 1), 3, "an explicit count is kept");
+        assert_eq!(share_threads(3, 64), 3, "an explicit count ignores the worker count");
+        for workers in 1..=4 {
+            assert_eq!(share_threads(0, workers), (hw / workers).max(1));
+        }
+        assert_eq!(share_threads(0, 1), hw);
+        assert_eq!(share_threads(0, hw + 1), 1, "more workers than threads still get one each");
+        assert_eq!(share_threads(0, 0), share_threads(0, 1), "0 workers counts as 1");
     }
 
     #[test]

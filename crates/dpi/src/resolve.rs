@@ -229,10 +229,7 @@ impl ContextBuilder {
         let threads = if self.rtp_rows.len() < self.config.parallel_threshold.max(1) {
             1
         } else {
-            match self.config.threads {
-                0 => crate::par::hardware_threads(),
-                n => n,
-            }
+            crate::par::share_threads(self.config.threads, 1)
         };
         self.finish_with_threads(threads)
     }

@@ -205,13 +205,13 @@ pub struct Engine {
 
 impl Engine {
     /// Start the shard workers. A DPI thread count of 0 becomes an equal
-    /// share of the machine per shard (at least one), as the batch and
-    /// sharded drivers divide it; an explicit count is kept.
+    /// share of the machine per shard, as the batch and sharded drivers
+    /// divide it ([`share_threads`]); an explicit count is kept.
+    ///
+    /// [`share_threads`]: rtc_core::dpi::par::share_threads
     pub fn start(mut config: ServiceConfig) -> Engine {
         assert!(config.shards > 0, "engine needs at least one shard");
-        if config.study.dpi.threads == 0 {
-            config.study.dpi.threads = (rtc_core::dpi::par::hardware_threads() / config.shards).max(1);
-        }
+        config.study.dpi.threads = rtc_core::dpi::par::share_threads(config.study.dpi.threads, config.shards);
         let obs = &config.study.obs;
         let mut shards = Vec::with_capacity(config.shards);
         for shard_index in 0..config.shards {

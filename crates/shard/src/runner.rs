@@ -100,7 +100,7 @@ pub fn shard_config(plan: &CorpusPlan, shards: usize) -> StudyConfig {
         dpi: Default::default(),
         obs: rtc_core::obs::MetricsRegistry::disabled(),
     };
-    config.dpi.threads = (rtc_core::dpi::par::hardware_threads() / shards.max(1)).max(1);
+    config.dpi.threads = rtc_core::dpi::par::share_threads(config.dpi.threads, shards);
     config
 }
 

@@ -225,6 +225,7 @@ pub fn check_message(
 pub fn check_call(dissection: &CallDissection) -> CheckedCall {
     let ctx = context::CallContext::build(dissection);
     let mut out = CheckedCall::default();
+    out.messages.reserve_exact(dissection.datagrams.iter().map(|d| d.messages.len()).sum());
     for (dgram, msg) in dissection.messages() {
         out.messages.push(check_message(dgram, msg, &ctx));
     }
@@ -264,6 +265,17 @@ mod tests {
         assert_eq!(out.messages.len(), 1);
         assert!(out.messages[0].is_compliant(), "{:?}", out.messages[0].violation);
         assert_eq!(out.messages[0].type_key, TypeKey::Stun(0x0001));
+    }
+
+    #[test]
+    fn checked_messages_are_allocated_at_their_exact_count() {
+        let mut datagrams: Vec<Datagram> = (0..7u16)
+            .map(|i| dgram(i as u64 * 20, PacketBuilder::new(96, 100 + i, 0, 0x42).payload(vec![0; 40]).build()))
+            .collect();
+        datagrams.push(dgram(200, MessageBuilder::new(msg_type::BINDING_REQUEST, [9; 12]).build()));
+        let out = check(datagrams);
+        assert_eq!(out.messages.len(), 8);
+        assert_eq!(out.messages.capacity(), out.messages.len());
     }
 
     #[test]

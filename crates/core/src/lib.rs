@@ -89,7 +89,7 @@ impl StudyConfig {
 }
 
 /// The analysis of one call, before aggregation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CallAnalysis {
     /// Everything the report layer aggregates.
     pub record: CallRecord,

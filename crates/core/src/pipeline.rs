@@ -12,8 +12,8 @@
 //!
 //! Datagram payloads are zero-copy `bytes::Bytes` views of the record
 //! frame buffers, so a datagram costs a refcount, not a copy, on its way
-//! through. Decode and Filter run per record inside
-//! [`CallSession::push_record`]: records arrive chunk by chunk (see
+//! through. Decode and Filter run per chunk of records inside
+//! [`CallSession::push_records`]: records arrive chunk by chunk (see
 //! [`rtc_pcap::TraceReader`]) and the online filter retains only what
 //! later steps can still need — non-RTC streams are dropped the moment
 //! they are provably doomed, so peak memory is O(chunk + live streams),
@@ -84,9 +84,9 @@ pub struct StageMetrics {
     pub items_in: u64,
     /// Items the stage emitted downstream.
     pub items_out: u64,
-    /// Wall-clock time inside the stage's work: per record for decode and
-    /// filter (plus the filter's whole-call classification), and the one
-    /// whole-call analysis for DPI and compliance.
+    /// Wall-clock time inside the stage's work: per chunk of records for
+    /// decode and filter (plus the filter's whole-call classification), and
+    /// the one whole-call analysis for DPI and compliance.
     pub busy: Duration,
 }
 
@@ -191,7 +191,7 @@ impl CallMeta {
 }
 
 /// One call flowing through the staged engine: feed [`Record`]s with
-/// [`CallSession::push_record`] (chunk by chunk — see
+/// [`CallSession::push_records`] (chunk by chunk — see
 /// [`rtc_pcap::TraceReader`]), then [`CallSession::finish`] to run the
 /// whole-call analyses and obtain the result plus per-stage metrics.
 pub struct CallSession {
@@ -235,23 +235,29 @@ impl CallSession {
         &self.meta
     }
 
-    /// Feed one capture record through decode and the online filter.
-    /// Payloads are zero-copy slices of the record's frame buffer; non-IP
-    /// and odd frames are skipped, exactly like the batch
-    /// `Trace::datagrams`.
-    pub fn push_record(&mut self, record: Record) {
+    /// Feed a chunk of capture records through decode, then the online
+    /// filter. Payloads are zero-copy slices of the records' frame
+    /// buffers; non-IP and odd frames are skipped, exactly like the batch
+    /// `Trace::datagrams`. The chunk is decoded whole into a buffer local
+    /// to this method, then filtered, so each stage's clock is read once
+    /// per chunk, not per record.
+    pub fn push_records(&mut self, records: impl IntoIterator<Item = Record>) {
+        let records = records.into_iter();
         let start = Instant::now();
-        self.raw_bytes += record.data.len();
-        let decoded = decode_record(&record);
+        let mut decoded = Vec::with_capacity(records.size_hint().0);
+        for record in records {
+            self.raw_bytes += record.data.len();
+            self.decode_metrics.items_in += 1;
+            decoded.extend(decode_record(&record));
+        }
         let decoded_at = Instant::now();
         self.decode_metrics.busy += decoded_at - start;
-        self.decode_metrics.items_in += 1;
-        if let Some(d) = decoded {
-            self.decode_metrics.items_out += 1;
+        self.decode_metrics.items_out += decoded.len() as u64;
+        self.filter_metrics.items_in += decoded.len() as u64;
+        for d in decoded {
             self.filter.push(d);
-            self.filter_metrics.busy += decoded_at.elapsed();
-            self.filter_metrics.items_in += 1;
         }
+        self.filter_metrics.busy += decoded_at.elapsed();
     }
 
     /// Datagram bytes the filter currently retains (the residency the
@@ -346,8 +352,9 @@ pub fn run_session(
     records: impl IntoIterator<Item = Record>,
 ) -> (CallAnalysis, PipelineStats) {
     let mut session = CallSession::new(meta, config);
-    for record in records {
-        session.push_record(record);
+    let mut records = records.into_iter().peekable();
+    while records.peek().is_some() {
+        session.push_records(records.by_ref().take(rtc_pcap::DEFAULT_CHUNK_RECORDS));
     }
     session.finish()
 }
@@ -367,9 +374,7 @@ pub fn analyze_saved_call(
         rtc_pcap::open_file(pcap_path, chunk_records).map_err(|e| std::io::Error::other(e.to_string()))?;
     let mut session = CallSession::new(CallMeta::of(manifest), config);
     while let Some(chunk) = reader.next_chunk().map_err(|e| std::io::Error::other(e.to_string()))? {
-        for record in chunk {
-            session.push_record(record);
-        }
+        session.push_records(chunk);
     }
     Ok(session.finish())
 }

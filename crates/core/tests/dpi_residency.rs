@@ -1,9 +1,9 @@
 //! Memory model of the DPI: dissecting a call holds its candidates only
-//! while they can still matter. Extraction keeps 16 bytes per candidate,
-//! and the noise cut drops the RTP candidates of groups too small to
-//! validate before validation and resolution, so the allocation peak of
-//! one dissection stays near the call's accepted payload bytes instead of
-//! a multiple of them.
+//! while they can still matter. Extraction keeps each RTP lane as 8 bytes
+//! in fixed-size blocks, and the noise cut builds only the lanes of groups
+//! large enough to validate into 16-byte candidates, so the allocation
+//! peak of one dissection stays well below the call's accepted payload
+//! bytes instead of a multiple of them.
 //!
 //! This lives in its own test binary because `#[global_allocator]` is
 //! per-binary and the measurement only tolerates one region at a time.
@@ -40,4 +40,8 @@ fn facetime_relay_dissection_peak_stays_near_its_payload() {
     );
     assert!(dissection.messages().count() > 0);
     assert!(peak < payload, "DPI allocation peak {peak} B must stay below the {payload} B of accepted payload");
+    assert!(
+        peak as f64 <= 0.6 * payload as f64,
+        "DPI allocation peak {peak} B must stay within 0.6x the {payload} B of accepted payload"
+    );
 }

@@ -180,3 +180,36 @@ fn streaming_matches_batch_randomized() {
         assert_eq!(&batch.header_profiles, &streaming.header_profiles);
     });
 }
+
+/// A session fed one record at a time, in odd-sized chunks or in the
+/// reader's default chunks analyzes every call identically and counts the
+/// same items in every stage: chunking moves only the clock reads.
+#[test]
+fn session_chunk_size_changes_no_analysis_and_no_stage_count() {
+    use rtc_core::apps::Application;
+    use rtc_core::netemu::NetworkConfig;
+    let config = StudyConfig::smoke(11);
+    for (app, network) in
+        [(Application::FaceTime, NetworkConfig::WifiRelay), (Application::Zoom, NetworkConfig::Cellular)]
+    {
+        let cap = rtc_core::capture::run_call(&config.experiment, app, network, 0);
+        let analyze = |chunk: usize| {
+            let mut session = pipeline::CallSession::new(pipeline::CallMeta::of(&cap.manifest), &config);
+            for records in cap.trace.records.chunks(chunk) {
+                session.push_records(records.iter().cloned());
+            }
+            session.finish()
+        };
+        let (want, want_stats) = analyze(1);
+        assert!(!want.record.checked.messages.is_empty(), "{app:?}/{network}: the call must carry messages");
+        for chunk in [7, 1024] {
+            let (got, stats) = analyze(chunk);
+            assert!(got == want, "{app:?}/{network}, chunks of {chunk}: the analysis changed");
+            for kind in pipeline::StageKind::ALL {
+                let (a, b) = (stats.stage(kind), want_stats.stage(kind));
+                assert_eq!((a.items_in, a.items_out), (b.items_in, b.items_out), "{app:?}/{network} {kind:?}");
+            }
+            assert_eq!(stats.peak_retained_bytes, want_stats.peak_retained_bytes, "{app:?}/{network}");
+        }
+    }
+}

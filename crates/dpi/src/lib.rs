@@ -33,6 +33,7 @@
 // invariants); everything else stays unsafe-free.
 #![deny(unsafe_code)]
 
+mod cut;
 pub mod par;
 pub mod pattern;
 pub mod proprietary;
@@ -257,7 +258,7 @@ pub fn dissect_call_sampled<D: std::borrow::Borrow<Datagram> + Sync>(
 }
 
 /// [`dissect_call_sampled`], with the noise cut's count table forced to
-/// `cut_table` slots when given (see [`resolve::cut_noise`]).
+/// `cut_table` slots when given (see [`cut`]).
 fn dissect<D: std::borrow::Borrow<Datagram> + Sync>(
     datagrams: &[D],
     config: &DpiConfig,
@@ -266,20 +267,19 @@ fn dissect<D: std::borrow::Borrow<Datagram> + Sync>(
 ) -> (CallDissection, DissectStats) {
     let mut stats = DissectStats::default();
 
-    // ---- Step 1: candidate extraction (Algorithm 1, lines 5–13). -------
-    // One flat candidate batch for the whole call, fanned out over chunked
-    // workers when the call is large enough (see [`par`]).
-    let mut batch = par::extract_all(datagrams, config);
-
-    // Each datagram's stream is numbered once; validation and resolution
-    // index by that number.
+    // Each datagram's stream is numbered once, before extraction; the
+    // noise cut, validation and resolution index by that number.
     let mut streams = resolve::StreamTable::default();
     let sids: Vec<u32> = datagrams.iter().map(|d| streams.intern(d.borrow().five_tuple)).collect();
 
+    // ---- Step 1: candidate extraction (Algorithm 1, lines 5–13). -------
     // Most RTP candidates are offset-aliasing noise in groups too small to
-    // validate; drop them before validation holds a row for each, and keep
-    // the batch that resolution reads to the candidates that can matter.
-    stats.candidates = resolve::cut_noise(&mut batch, &sids, config.rtp_min_group, cut_table);
+    // validate; extraction holds them as 8-byte lanes and cuts them before
+    // any becomes a candidate, so the batch that validation and resolution
+    // read holds only the candidates that can matter. Fanned out over
+    // chunked workers when the call is large enough (see [`par`]).
+    let (batch, candidates) = par::extract_cut(datagrams, &sids, config, cut_table);
+    stats.candidates = candidates;
     stats.kept_candidates = batch.candidate_count() as u64;
 
     // ---- Step 2: protocol-specific validation (lines 14–19). -----------
@@ -760,7 +760,9 @@ mod tests {
             rtcp.push((tuples[rng.below(tuples.len())].reversed(), sr.build()));
         }
         lists.push(rtcp);
-        let noise = if rng.below(3) == 0 { rng.in_range(0..=300usize) } else { rng.in_range(0..=20usize) };
+        // A third of the calls carry enough noise to span several chunks
+        // of the parallel driver.
+        let noise = if rng.below(3) == 0 { rng.in_range(0..=700usize) } else { rng.in_range(0..=20usize) };
         lists.push((0..noise).map(|_| (tuples[rng.below(tuples.len())], rng.bytes(0..=200))).collect());
         // Merge the lists in random order, each list's own order kept.
         for list in &mut lists {
@@ -778,10 +780,11 @@ mod tests {
 
     /// The noise cut changes no verdict: `dissect_call_sampled` equals the
     /// unpruned public stepwise path at every tested `rtp_min_group`, with
-    /// and without forced count-table collisions, serial and threaded.
+    /// and without forced count-table collisions, serial and on the chunked
+    /// parallel path.
     #[test]
     fn noise_cut_matches_the_unpruned_stepwise_path() {
-        let (mut cut, mut validated_rtp) = (0u64, 0usize);
+        let (mut cut, mut validated_rtp, mut chunked) = (0u64, 0usize, 0usize);
         rtc_conformance::check_cases("noise_cut_matches_the_unpruned_stepwise_path", 32, |rng| {
             let datagrams = grouped_call(rng);
             for min_group in [0usize, 1, 2, 5, 8] {
@@ -790,6 +793,7 @@ mod tests {
                 let total: u64 = counts.iter().sum();
                 for threads in [1usize, 3] {
                     let config = DpiConfig { threads, parallel_threshold: 1, ..serial };
+                    chunked += (par::planned_threads(datagrams.len(), &config) > 1) as usize;
                     for table in [None, Some(1), Some(2), Some(8)] {
                         let (out, stats) = dissect(&datagrams, &config, 0, table);
                         let at = format!("min_group {min_group}, threads {threads}, table {table:?}");
@@ -810,6 +814,7 @@ mod tests {
             }
         });
         assert!(cut > 0 && validated_rtp > 0, "the cases must both cut noise and validate groups");
+        assert!(chunked > 0, "some cases must run the chunked parallel path");
     }
 
     /// A group past the `u8` count limit saturates its slot, and a

@@ -4,7 +4,7 @@
 //! across datagrams: each payload is scanned independently, and only the
 //! later validation pass needs cross-datagram state. Resolution (step 3)
 //! is embarrassingly parallel too once the call's [`ValidationContext`] is
-//! frozen. [`extract_all`] and [`resolve_all`] therefore split a call's
+//! frozen. Extraction and [`resolve_all`] therefore split a call's
 //! datagram list into [`CHUNK_DATAGRAMS`]-sized chunks and fan them out over
 //! scoped workers that claim the next chunk from a shared counter, so a
 //! worker that drew cheap chunks simply claims more.
@@ -14,6 +14,7 @@
 //! byte-identical to the sequential computation. Parallelism across calls
 //! belongs to the study driver, which runs one call per worker.
 
+use crate::cut::{self, Lanes, MatcherCounts};
 use crate::pattern::{Candidate, CandidateBatch};
 use crate::resolve::{resolve_datagram, resolve_in_slot, ValidationContext};
 use crate::{DatagramDissection, DpiConfig};
@@ -160,30 +161,34 @@ pub fn planned_threads(n_datagrams: usize, config: &DpiConfig) -> usize {
     share_threads(config.threads, 1).min(n_datagrams.div_ceil(CHUNK_DATAGRAMS))
 }
 
-/// Extract candidates for every datagram of one call, in input order,
-/// over [`planned_threads`] chunked workers (1 = plain serial loop).
+/// Extract the candidates of every datagram of one call and cut the RTP
+/// noise (see [`crate::cut`]), over [`planned_threads`] chunked workers
+/// (1 = plain serial loop). `sids[i]` is datagram `i`'s stream id.
+/// Returns the kept candidates, in input order, and the candidates
+/// extracted per matcher.
 ///
 /// Generic over owned or borrowed datagram slices (`&[Datagram]` and
 /// `&[&Datagram]` both work), so the borrowed views the filter layer hands
 /// out flow through without cloning.
-pub fn extract_all<D: Borrow<Datagram> + Sync>(datagrams: &[D], config: &DpiConfig) -> CandidateBatch {
-    let extract_chunk = |_start: usize, slice: &[D]| {
-        let mut batch = CandidateBatch::with_capacity(slice.len());
-        for d in slice {
-            batch.push_payload(&d.borrow().payload, config.max_offset);
+pub(crate) fn extract_cut<D: Borrow<Datagram> + Sync>(
+    datagrams: &[D],
+    sids: &[u32],
+    config: &DpiConfig,
+    cut_table: Option<usize>,
+) -> (CandidateBatch, MatcherCounts) {
+    let extract_chunk = |start: usize, slice: &[D]| {
+        let mut lanes = Lanes::with_capacity(slice.len());
+        for (d, &sid) in slice.iter().zip(&sids[start..]) {
+            lanes.push_payload(&d.borrow().payload, sid, config.max_offset);
         }
-        batch
+        lanes.seal();
+        lanes
     };
-    match planned_threads(datagrams.len(), config) {
-        0 | 1 => extract_chunk(0, datagrams),
-        threads => {
-            let mut out = CandidateBatch::with_capacity(datagrams.len());
-            for part in map_chunks(datagrams, threads, extract_chunk) {
-                out.append(part);
-            }
-            out
-        }
-    }
+    let parts = match planned_threads(datagrams.len(), config) {
+        0 | 1 => vec![extract_chunk(0, datagrams)],
+        threads => map_chunks(datagrams, threads, extract_chunk),
+    };
+    cut::cut(datagrams, parts, config.rtp_min_group, cut_table)
 }
 
 /// Resolve every datagram of one call against its sealed context, fanning
@@ -406,37 +411,65 @@ mod tests {
         DpiConfig { threads: 1, parallel_threshold: usize::MAX, ..DpiConfig::default() }
     }
 
+    /// Every candidate of every datagram, through the public stepwise API.
+    fn uncut(datagrams: &[Datagram], max_offset: usize) -> CandidateBatch {
+        let mut batch = CandidateBatch::with_capacity(datagrams.len());
+        for d in datagrams {
+            batch.push_payload(&d.payload, max_offset);
+        }
+        batch
+    }
+
+    /// The interned stream id of every datagram.
+    fn stream_ids(datagrams: &[Datagram]) -> Vec<u32> {
+        let mut streams = crate::resolve::StreamTable::default();
+        datagrams.iter().map(|d| streams.intern(d.five_tuple)).collect()
+    }
+
     #[test]
     fn chunked_extraction_matches_sequential_in_order() {
         // Force the chunked path with several workers regardless of the
         // machine's core count, on calls of under one, exactly one and
-        // several chunks (the last one ragged).
+        // several chunks (the last one ragged), uncut and cut.
         for n in [0, 7, CHUNK_DATAGRAMS, 2 * CHUNK_DATAGRAMS + 5, 3 * CHUNK_DATAGRAMS + 17] {
             let datagrams = corpus(n);
-            let sequential = extract_all(&datagrams, &serial());
-            assert_eq!(sequential.len(), n);
-            for threads in [2, 3, 8] {
-                let config = DpiConfig { threads, parallel_threshold: 1, ..DpiConfig::default() };
-                let chunked = extract_all(&datagrams, &config);
-                assert_eq!(chunked.len(), sequential.len());
-                assert_eq!(chunked.candidate_count(), sequential.candidate_count());
-                for i in 0..chunked.len() {
-                    assert_eq!(chunked.get(i), sequential.get(i), "n {n}, datagram {i}, threads {threads}");
+            let sids = stream_ids(&datagrams);
+            let every = uncut(&datagrams, serial().max_offset);
+            for min_group in [0usize, 5] {
+                let serial = DpiConfig { rtp_min_group: min_group, ..serial() };
+                let (sequential, counts) = extract_cut(&datagrams, &sids, &serial, None);
+                assert_eq!(sequential.len(), n);
+                assert_eq!(counts.iter().sum::<u64>(), every.candidate_count() as u64);
+                if min_group == 0 {
+                    for i in 0..n {
+                        assert_eq!(sequential.get(i), every.get(i), "n {n}, datagram {i}");
+                    }
+                }
+                for threads in [2, 3, 8] {
+                    let config = DpiConfig { threads, parallel_threshold: 1, ..serial };
+                    let (chunked, chunked_counts) = extract_cut(&datagrams, &sids, &config, None);
+                    assert_eq!(chunked_counts, counts);
+                    assert_eq!(chunked.len(), sequential.len());
+                    assert_eq!(chunked.candidate_count(), sequential.candidate_count());
+                    for i in 0..chunked.len() {
+                        assert_eq!(chunked.get(i), sequential.get(i), "n {n}, datagram {i}, threads {threads}");
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn extract_all_honors_threshold_boundary() {
+    fn extraction_honors_threshold_boundary() {
         let datagrams = corpus(40);
+        let sids = stream_ids(&datagrams);
         // Threshold above the call size: sequential. At/below: chunked.
         let seq_cfg = DpiConfig { threads: 2, parallel_threshold: 41, ..DpiConfig::default() };
-        let par_cfg = DpiConfig { threads: 2, parallel_threshold: 40, ..DpiConfig::default() };
+        let par_cfg = DpiConfig { threads: 2, parallel_threshold: 40, rtp_min_group: 0, ..DpiConfig::default() };
         assert_eq!(planned_threads(datagrams.len(), &seq_cfg), 1);
         // 40 datagrams fit one chunk, so even the parallel config plans one
         // worker — but both paths agree with per-payload extraction.
-        let out = extract_all(&datagrams, &par_cfg);
+        let (out, _) = extract_cut(&datagrams, &sids, &par_cfg, None);
         for (i, d) in datagrams.iter().enumerate() {
             assert_eq!(out.get(i), &extract_candidates(&d.payload, par_cfg.max_offset)[..]);
         }
@@ -446,7 +479,7 @@ mod tests {
     fn resolve_all_matches_serial_at_every_thread_count() {
         let datagrams = corpus(4 * CHUNK_DATAGRAMS + 31);
         let serial_cfg = serial();
-        let batch = extract_all(&datagrams, &serial_cfg);
+        let batch = uncut(&datagrams, serial_cfg.max_offset);
         let ctx = ValidationContext::build(&datagrams, &batch, &serial_cfg);
         let (serial, serial_samples) = resolve_all(&datagrams, &batch, &ctx, &serial_cfg, 64);
         assert_eq!(serial_samples.len(), datagrams.len().div_ceil(64));
@@ -470,7 +503,7 @@ mod tests {
         let datagrams = corpus(3 * CHUNK_DATAGRAMS + 40);
         let (serial_out, serial_stats) = crate::dissect_call_sampled(&datagrams, &serial(), 64);
         assert_eq!(serial_out, crate::dissect_call(&datagrams, &serial()));
-        let batch = extract_all(&datagrams, &serial());
+        let batch = uncut(&datagrams, serial().max_offset);
         assert_eq!(serial_stats.candidates.iter().sum::<u64>(), batch.candidate_count() as u64);
         for threads in [2usize, 3, 8] {
             let cfg = DpiConfig { threads, parallel_threshold: 1, ..DpiConfig::default() };

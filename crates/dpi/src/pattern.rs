@@ -250,6 +250,40 @@ pub fn extract_candidates(payload: &[u8], max_offset: usize) -> Vec<Candidate> {
 /// Equivalent to [`extract_candidates_naive`]; offsets past 0 run this
 /// target's bulk sweep ([`scan::ScanMode::active`] names it).
 pub fn extract_into(payload: &[u8], max_offset: usize, out: &mut Vec<Candidate>) {
+    extract_to(payload, max_offset, out);
+}
+
+/// Where extraction puts what it finds. A `Vec<Candidate>` takes every
+/// candidate as it is; the noise cut's lane store
+/// ([`crate::cut::Lanes`]) keeps RTP lanes apart from the other classes.
+pub(crate) trait Sink {
+    /// A matched candidate.
+    fn push(&mut self, c: Candidate);
+    /// The RTP lane at `i`, which [`rtp_gate`] admitted iff `ok`.
+    /// `tail` is the payload from `i`: at least 12 bytes, a version-2
+    /// first byte and a second byte outside the RTCP range. The lane is
+    /// stored without a data-dependent branch.
+    fn push_rtp(&mut self, tail: &[u8], i: usize, ok: bool);
+}
+
+impl Sink for Vec<Candidate> {
+    #[inline(always)]
+    fn push(&mut self, c: Candidate) {
+        Vec::push(self, c);
+    }
+
+    /// The candidate is written unconditionally and cut off again on
+    /// reject.
+    #[inline(always)]
+    fn push_rtp(&mut self, tail: &[u8], i: usize, ok: bool) {
+        let n = self.len();
+        Vec::push(self, rtp_candidate(tail, i));
+        self.truncate(n + ok as usize);
+    }
+}
+
+/// [`extract_into`] into any [`Sink`].
+pub(crate) fn extract_to(payload: &[u8], max_offset: usize, out: &mut impl Sink) {
     extract_into_bulk(payload, max_offset, out, |first, last, out| {
         scan::bulk_sweep(payload, first, last, |base, rtp, other| dispatch_block(payload, base, rtp, other, out))
     });
@@ -265,11 +299,11 @@ pub fn extract_into(payload: &[u8], max_offset: usize, out: &mut Vec<Candidate>)
 /// candidates of each offset it admits, and returns one past the last
 /// offset swept. Production sweeps with [`scan::bulk_sweep`]; the unit tests
 /// sweep with the SWAR pass alone, which is all a non-x86-64 build runs.
-fn extract_into_bulk(
+fn extract_into_bulk<S: Sink>(
     payload: &[u8],
     max_offset: usize,
-    out: &mut Vec<Candidate>,
-    sweep: impl FnOnce(usize, usize, &mut Vec<Candidate>) -> usize,
+    out: &mut S,
+    sweep: impl FnOnce(usize, usize, &mut S) -> usize,
 ) {
     if payload.is_empty() {
         return;
@@ -292,7 +326,7 @@ fn extract_into_bulk(
 /// with at least 12 readable bytes; `other` lanes passed the STUN, RTCP or
 /// QUIC class gate.
 #[inline]
-fn dispatch_block(payload: &[u8], base: usize, rtp: u32, other: u32, out: &mut Vec<Candidate>) {
+fn dispatch_block(payload: &[u8], base: usize, rtp: u32, other: u32, out: &mut impl Sink) {
     if other == 0 {
         // RTP lanes only, the common block: no class to decide, and the
         // length gate is branch-free.
@@ -313,19 +347,15 @@ fn dispatch_block(payload: &[u8], base: usize, rtp: u32, other: u32, out: &mut V
     }
 }
 
-/// Push the RTP candidate at `i` if [`rtp_gate`] admits `tail`. The
-/// candidate is written unconditionally and cut off again on reject, so an
-/// RTP lane costs no data-dependent branch. Caller guarantees
-/// `tail.len() >= 12` and a version-2 first byte.
+/// Hand the RTP lane at `i` to `out` with its [`rtp_gate`] verdict.
+/// Caller guarantees `tail.len() >= 12` and a version-2 first byte.
 #[inline(always)]
-fn push_rtp_lane(tail: &[u8], i: usize, out: &mut Vec<Candidate>) {
+fn push_rtp_lane(tail: &[u8], i: usize, out: &mut impl Sink) {
     let ok = rtp_gate(tail);
     if ok {
         rtc_cov::probe!("dpi.match.rtp");
     }
-    let n = out.len();
-    out.push(rtp_candidate(tail, i));
-    out.truncate(n + ok as usize);
+    out.push_rtp(tail, i, ok);
 }
 
 /// Fused RTP length gate, branch-free: the same checks as [`match_rtp`] /
@@ -349,7 +379,7 @@ fn rtp_gate(tail: &[u8]) -> bool {
 
 /// Build the RTP candidate at `i` (an RTP message claims the whole tail).
 #[inline(always)]
-fn rtp_candidate(tail: &[u8], i: usize) -> Candidate {
+pub(crate) fn rtp_candidate(tail: &[u8], i: usize) -> Candidate {
     Candidate::at(
         i,
         tail.len(),
@@ -366,7 +396,7 @@ fn rtp_candidate(tail: &[u8], i: usize) -> Candidate {
 /// disjoint, so at most one arm runs and the naive loop's pattern
 /// priority (STUN, ChannelData, RTCP, RTP, QUIC) is preserved.
 #[inline]
-fn extract_at_zero(payload: &[u8], out: &mut Vec<Candidate>) {
+fn extract_at_zero(payload: &[u8], out: &mut impl Sink) {
     let b0 = payload[0];
     match b0 >> 6 {
         0b00 => {
@@ -408,7 +438,7 @@ fn extract_at_zero(payload: &[u8], out: &mut Vec<Candidate>) {
 /// remaining classes re-derive from the top two bits, then run cheap
 /// length gates before entering the full matcher.
 #[inline]
-fn dispatch_gated(payload: &[u8], i: usize, out: &mut Vec<Candidate>) {
+fn dispatch_gated(payload: &[u8], i: usize, out: &mut impl Sink) {
     let tail = &payload[i..];
     match tail[0] >> 6 {
         0b00 if stun_prefilter(tail) => {
@@ -495,8 +525,8 @@ pub fn extract_candidates_naive(payload: &[u8], max_offset: usize) -> Vec<Candid
 /// dissecting a whole call.
 #[derive(Debug, Clone, Default)]
 pub struct CandidateBatch {
-    flat: Vec<Candidate>,
-    spans: Vec<(usize, usize)>,
+    pub(crate) flat: Vec<Candidate>,
+    pub(crate) spans: Vec<(usize, usize)>,
 }
 
 impl CandidateBatch {
@@ -536,32 +566,6 @@ impl CandidateBatch {
     /// Iterate per-datagram candidate slices in input order.
     pub fn iter(&self) -> impl Iterator<Item = &[Candidate]> {
         self.spans.iter().map(|&(start, end)| &self.flat[start..end])
-    }
-
-    /// Keep only the candidates that `keep(datagram index, candidate)`
-    /// accepts, in order and in place, then hand the freed capacity back.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(usize, &Candidate) -> bool) {
-        let CandidateBatch { flat, spans } = self;
-        let mut kept = 0;
-        for (i, span) in spans.iter_mut().enumerate() {
-            let start = kept;
-            for r in span.0..span.1 {
-                let c = flat[r];
-                flat[kept] = c;
-                kept += keep(i, &c) as usize;
-            }
-            *span = (start, kept);
-        }
-        flat.truncate(kept);
-        flat.shrink_to_fit();
-    }
-
-    /// Append another batch's datagrams after this one (used by the
-    /// parallel driver to stitch chunk results back in input order).
-    pub fn append(&mut self, mut other: CandidateBatch) {
-        let base = self.flat.len();
-        self.flat.append(&mut other.flat);
-        self.spans.extend(other.spans.iter().map(|&(s, e)| (base + s, base + e)));
     }
 }
 
@@ -1044,20 +1048,6 @@ mod tests {
         }
         let total: usize = batch.iter().map(|s| s.len()).sum();
         assert_eq!(total, batch.candidate_count());
-    }
-
-    #[test]
-    fn batch_append_preserves_spans() {
-        let a_payload = PacketBuilder::new(96, 7, 8, 9).payload(vec![0; 20]).build();
-        let b_payload = MessageBuilder::new(0x0001, [1; 12]).build();
-        let mut a = CandidateBatch::default();
-        a.push_payload(&a_payload, 200);
-        let mut b = CandidateBatch::default();
-        b.push_payload(&b_payload, 200);
-        a.append(b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.get(0), &extract_candidates(&a_payload, 200)[..]);
-        assert_eq!(a.get(1), &extract_candidates(&b_payload, 200)[..]);
     }
 
     /// [`extract_into`] with the SWAR sweep alone in place of the

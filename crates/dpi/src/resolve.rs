@@ -439,65 +439,6 @@ fn bucket_sort_rows(rows: &mut Vec<RtpRow>, min_group: usize) {
     });
 }
 
-/// Candidate counts indexed by [`CandidateKind::matcher_index`].
-pub(crate) type MatcherCounts = [u64; CandidateKind::MATCHER_LABELS.len()];
-
-/// Count `batch`'s candidates per matcher, then drop every RTP candidate
-/// whose `(stream, SSRC)` group has fewer than `min_group` members in the
-/// whole call, in place and before validation builds a row for it.
-/// `sids[i]` is datagram `i`'s [`StreamTable`] id.
-///
-/// Such a group can never pass [`scan_groups`], and a rejected RTP
-/// candidate leaves no trace in resolution, so the cut changes no verdict.
-/// Members are counted in a `u8` table of one slot per RTP candidate
-/// (rounded up to a power of two), indexed by a hash of the group key.
-/// Groups sharing a slot add up, and a saturated slot keeps everything:
-/// both can only keep candidates, never drop one of a large enough group.
-/// `table_len` forces the slot count (tests use it to force collisions).
-pub(crate) fn cut_noise(
-    batch: &mut CandidateBatch,
-    sids: &[u32],
-    min_group: usize,
-    table_len: Option<usize>,
-) -> MatcherCounts {
-    let mut counts = MatcherCounts::default();
-    let mut rtp = 0usize;
-    for c in batch.iter().flatten() {
-        counts[c.kind.matcher_index()] += 1;
-        rtp += matches!(c.kind, CandidateKind::Rtp { .. }) as usize;
-    }
-    // A group of one member always reaches a threshold of 0 or 1.
-    if min_group <= 1 || rtp == 0 {
-        return counts;
-    }
-    let slots = table_len.unwrap_or(rtp).next_power_of_two();
-    let (mask, mut members) = (slots - 1, vec![0u8; slots]);
-    for (cands, &sid) in batch.iter().zip(sids) {
-        for c in cands {
-            if let CandidateKind::Rtp { ssrc, .. } = c.kind {
-                let n = &mut members[group_slot(sid, ssrc, mask)];
-                *n = n.saturating_add(1);
-            }
-        }
-    }
-    batch.retain(|i, c| match c.kind {
-        CandidateKind::Rtp { ssrc, .. } => {
-            let n = members[group_slot(sids[i], ssrc, mask)];
-            n == u8::MAX || n as usize >= min_group
-        }
-        _ => true,
-    });
-    counts
-}
-
-/// [`cut_noise`]'s slot for the group `(sid, ssrc)`: the high half of a
-/// multiplicative (Fibonacci) hash of the packed key, masked.
-#[inline]
-fn group_slot(sid: u32, ssrc: u32, mask: usize) -> usize {
-    let key = (sid as u64) << 32 | ssrc as u64;
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
-}
-
 fn protocol_of(kind: &CandidateKind) -> Protocol {
     match kind {
         CandidateKind::Stun { .. } | CandidateKind::ChannelData { .. } => Protocol::StunTurn,

@@ -77,36 +77,6 @@ fn fast_path_matches_naive_on_structured_payloads() {
 }
 
 #[test]
-fn chunk_split_batches_append_identically() {
-    check_cases("chunk_split_batches_append_identically", CASES, |rng| {
-        let payloads = structured_payloads(rng, 12);
-        let split = rng.in_range(0usize..12);
-        let k = rng.in_range(0usize..=400);
-        // The parallel driver extracts chunks independently and appends
-        // them; a payload must dissect the same whichever side of a chunk
-        // boundary it lands on.
-        let split = split.min(payloads.len());
-        let mut whole = CandidateBatch::with_capacity(payloads.len());
-        for p in &payloads {
-            whole.push_payload(p, k);
-        }
-        let mut head = CandidateBatch::with_capacity(split);
-        for p in &payloads[..split] {
-            head.push_payload(p, k);
-        }
-        let mut tail = CandidateBatch::with_capacity(payloads.len() - split);
-        for p in &payloads[split..] {
-            tail.push_payload(p, k);
-        }
-        head.append(tail);
-        assert_eq!(head.len(), whole.len());
-        for i in 0..whole.len() {
-            assert_eq!(head.get(i), whole.get(i), "payload {i}");
-        }
-    });
-}
-
-#[test]
 fn batch_spans_match_per_payload_naive_extraction() {
     check_cases("batch_spans_match_per_payload_naive_extraction", CASES, |rng| {
         let payloads = structured_payloads(rng, 8);

@@ -625,7 +625,9 @@ impl OnlineFilter {
         let mut stage2 = StageStats::default();
         let mut rtc = StageStats::default();
         let mut stage2_heuristics: BTreeMap<Heuristic, usize> = BTreeMap::new();
-        let mut accepted_udp = Vec::new();
+        // The RTC UDP streams' retained datagrams, gathered first so the
+        // accepted list is allocated at its exact length.
+        let mut rtc_udp = Vec::new();
         for (tuple, acct) in streams {
             let class = classify_stream(
                 win,
@@ -663,8 +665,12 @@ impl OnlineFilter {
             }
             if matches!(class, StreamClass::Rtc) && tuple.transport == Transport::Udp {
                 debug_assert!(!acct.dropped, "an RTC-classified stream must never have been dropped");
-                accepted_udp.extend(acct.retained);
+                rtc_udp.push(acct.retained);
             }
+        }
+        let mut accepted_udp = Vec::with_capacity(rtc_udp.iter().map(Vec::len).sum());
+        for retained in rtc_udp {
+            accepted_udp.extend(retained);
         }
         // Streams flatten in BTreeMap (tuple) order; the stable sort merges
         // them by capture time exactly like `rtc_udp_datagrams()`.
@@ -1171,6 +1177,7 @@ mod tests {
                 let out = f.finish_streaming();
                 let want: Vec<Datagram> = reference.rtc_udp_datagrams().into_iter().cloned().collect();
                 assert_eq!(out.accepted_udp, want);
+                assert_eq!(out.accepted_udp.capacity(), want.len(), "accepted_udp is allocated at its exact length");
                 assert_eq!(out.raw, reference.raw);
                 assert_eq!(out.stage1, reference.stage1);
                 assert_eq!(out.stage2, reference.stage2);

@@ -345,13 +345,16 @@ impl<W: Write> Writer<W> {
         Ok(Writer { inner })
     }
 
-    /// Append one record.
+    /// Append one record: its 16-byte header in one write, then its data.
     pub fn write_record(&mut self, record: &Record) -> Result<()> {
         let micros = record.ts.as_micros();
-        self.inner.write_all(&((micros / 1_000_000) as u32).to_be_bytes())?;
-        self.inner.write_all(&((micros % 1_000_000) as u32).to_be_bytes())?;
-        self.inner.write_all(&(record.data.len() as u32).to_be_bytes())?;
-        self.inner.write_all(&(record.data.len() as u32).to_be_bytes())?;
+        let len = (record.data.len() as u32).to_be_bytes();
+        let mut header = [0u8; RECORD_HEADER_LEN];
+        header[0..4].copy_from_slice(&((micros / 1_000_000) as u32).to_be_bytes());
+        header[4..8].copy_from_slice(&((micros % 1_000_000) as u32).to_be_bytes());
+        header[8..12].copy_from_slice(&len); // captured length
+        header[12..16].copy_from_slice(&len); // original length
+        self.inner.write_all(&header)?;
         self.inner.write_all(&record.data)?;
         Ok(())
     }
@@ -363,9 +366,19 @@ impl<W: Write> Writer<W> {
     }
 }
 
+/// Bytes of the pcap file header.
+const FILE_HEADER_LEN: usize = 24;
+
+/// Bytes of a pcap record header.
+const RECORD_HEADER_LEN: usize = 16;
+
+/// Buffer of [`write_file`]'s writer.
+const WRITE_BUFFER: usize = 64 << 10;
+
 /// Serialize a [`Trace`] to pcap bytes.
 pub fn to_bytes(trace: &Trace) -> Vec<u8> {
-    let mut w = Writer::new(Vec::new(), trace.link_type).expect("vec write cannot fail");
+    let len = FILE_HEADER_LEN + trace.records.iter().map(|r| RECORD_HEADER_LEN + r.data.len()).sum::<usize>();
+    let mut w = Writer::new(Vec::with_capacity(len), trace.link_type).expect("vec write cannot fail");
     for r in &trace.records {
         w.write_record(r).expect("vec write cannot fail");
     }
@@ -375,7 +388,7 @@ pub fn to_bytes(trace: &Trace) -> Vec<u8> {
 /// Write a [`Trace`] to a file on disk.
 pub fn write_file(path: impl AsRef<std::path::Path>, trace: &Trace) -> Result<()> {
     let file = std::fs::File::create(path)?;
-    let mut w = Writer::new(std::io::BufWriter::new(file), trace.link_type)?;
+    let mut w = Writer::new(std::io::BufWriter::with_capacity(WRITE_BUFFER, file), trace.link_type)?;
     for r in &trace.records {
         w.write_record(r)?;
     }
@@ -411,6 +424,20 @@ mod tests {
             assert_eq!(a.ts, b.ts);
             assert_eq!(a.data, b.data);
         }
+    }
+
+    #[test]
+    fn records_are_written_in_the_classic_big_endian_layout() {
+        let trace = Trace {
+            link_type: LinkType::Ethernet,
+            records: vec![Record { ts: Timestamp::from_micros(3_000_042), data: vec![0xAB; 5].into() }],
+        };
+        let bytes = to_bytes(&trace);
+        assert_eq!(bytes.len(), FILE_HEADER_LEN + RECORD_HEADER_LEN + 5);
+        assert_eq!(bytes.capacity(), bytes.len(), "to_bytes sizes its buffer exactly");
+        assert_eq!(&bytes[..4], &MAGIC_MICROS.to_be_bytes());
+        assert_eq!(&bytes[24..40], &[0, 0, 0, 3, 0, 0, 0, 42, 0, 0, 0, 5, 0, 0, 0, 5]);
+        assert_eq!(&bytes[40..], &[0xAB; 5]);
     }
 
     #[test]

@@ -519,9 +519,7 @@ impl ShardWorker {
                     Some(live) => {
                         live.last_activity = Instant::now();
                         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            for r in records {
-                                live.session.push_record(r);
-                            }
+                            live.session.push_records(records);
                         }));
                         gauges.records.add(n);
                         if let Err(panic) = outcome {

@@ -21,7 +21,7 @@ use std::borrow::Borrow;
 pub(crate) type MatcherCounts = [u64; CandidateKind::MATCHER_LABELS.len()];
 
 /// [`CandidateKind::matcher_index`] of RTP.
-const RTP_MATCHER: usize = 2;
+const RTP_MATCHER: usize = CandidateKind::Rtp { ssrc: 0, payload_type: 0, seq: 0 }.matcher_index();
 
 /// Lanes per block of [`Lanes`] (32 KiB).
 const LANE_BLOCK: usize = 4096;

@@ -174,7 +174,7 @@ impl CandidateKind {
     }
 
     /// Index of the producing matcher into [`CandidateKind::MATCHER_LABELS`].
-    pub fn matcher_index(&self) -> usize {
+    pub const fn matcher_index(&self) -> usize {
         match self {
             CandidateKind::Stun { .. } => 0,
             CandidateKind::ChannelData { .. } => 1,
@@ -1048,6 +1048,30 @@ mod tests {
         }
         let total: usize = batch.iter().map(|s| s.len()).sum();
         assert_eq!(total, batch.candidate_count());
+    }
+
+    /// The cut stitches separately extracted runs of datagrams (the
+    /// chunked driver's chunks) back into one batch, spans in input order.
+    #[test]
+    fn batch_append_preserves_spans() {
+        let datagram = |payload: Vec<u8>| rtc_pcap::trace::Datagram {
+            ts: rtc_pcap::Timestamp::from_millis(0),
+            five_tuple: rtc_wire::ip::FiveTuple::udp(
+                "10.0.0.1:1000".parse().unwrap(),
+                "1.2.3.4:2000".parse().unwrap(),
+            ),
+            payload: bytes::Bytes::from(payload),
+        };
+        let a = datagram(PacketBuilder::new(96, 7, 8, 9).payload(vec![0; 20]).build());
+        let b = datagram(MessageBuilder::new(0x0001, [1; 12]).build());
+        let mut head = crate::cut::Lanes::with_capacity(1);
+        head.push_payload(&a.payload, 0, 200);
+        let mut tail = crate::cut::Lanes::with_capacity(1);
+        tail.push_payload(&b.payload, 0, 200);
+        let (batch, _) = crate::cut::cut(&[&a, &b], vec![head, tail], 0, None);
+        assert_eq!(batch.len(), 2);
+        assert_eq!(batch.get(0), &extract_candidates(&a.payload, 200)[..]);
+        assert_eq!(batch.get(1), &extract_candidates(&b.payload, 200)[..]);
     }
 
     /// [`extract_into`] with the SWAR sweep alone in place of the

@@ -7,10 +7,19 @@
 //! and extraction depths, not just the traffic our emulators produce.
 //! These tests run the build's own bulk sweep; the SWAR-only sweep of
 //! non-x86-64 builds is checked against the same reference by
-//! `pattern`'s unit tests.
+//! `pattern`'s unit tests. The chunked extract-and-cut driver must
+//! dissect a call as the serial one does, wherever chunk boundaries fall.
 
+use bytes::Bytes;
 use rtc_conformance::{check_cases, SplitMix64};
-use rtc_dpi::{extract_candidates, extract_candidates_naive, CandidateBatch};
+use rtc_dpi::par::{planned_threads, CHUNK_DATAGRAMS};
+use rtc_dpi::{
+    dissect_call_sampled, extract_candidates, extract_candidates_naive, CandidateBatch, DpiConfig, Protocol,
+};
+use rtc_pcap::trace::Datagram;
+use rtc_pcap::Timestamp;
+use rtc_wire::ip::FiveTuple;
+use rtc_wire::rtp::PacketBuilder;
 
 /// Cases per property.
 const CASES: u32 = 96;
@@ -26,7 +35,7 @@ fn structured_payload(rng: &mut SplitMix64) -> Vec<u8> {
     let junk = rng.bytes(0..64);
     let mut p: Vec<u8> = (0..prefix_len).map(|j| (j * 13) as u8).collect();
     match pick {
-        0 => p.extend(rtc_wire::rtp::PacketBuilder::new((seq % 128) as u8, seq, ssrc, ssrc).payload(junk).build()),
+        0 => p.extend(PacketBuilder::new((seq % 128) as u8, seq, ssrc, ssrc).payload(junk).build()),
         1 => {
             let mut b = rtc_wire::stun::MessageBuilder::new(seq & 0x3FFF, [7; 12]);
             if !junk.is_empty() {
@@ -74,6 +83,62 @@ fn fast_path_matches_naive_on_structured_payloads() {
         let k = rng.in_range(0usize..=400);
         assert_eq!(extract_candidates(&payload, k), extract_candidates_naive(&payload, k));
     });
+}
+
+#[test]
+fn chunk_split_batches_append_identically() {
+    let (mut chunked_runs, mut cut, mut validated_rtp) = (0usize, 0u64, 0usize);
+    check_cases("chunk_split_batches_append_identically", CASES, |rng| {
+        let payloads = structured_payloads(rng, 12);
+        let split = rng.in_range(0usize..12).min(payloads.len());
+        let k = rng.in_range(0usize..=400);
+        // The chunked driver extracts each chunk on its own and cuts the
+        // chunks together; a payload must dissect the same whichever side
+        // of a chunk boundary it lands on. Filler datagrams put the first
+        // boundary `split` payloads in. Around the boundary sit repeats of
+        // the payloads (noise groups) and an RTP stream of 0 to 8 packets
+        // (a group at about the cut's threshold), both spanning it; the
+        // rest of the fillers are empty.
+        let filler = CHUNK_DATAGRAMS - split;
+        let ssrc = rng.next_u64() as u32;
+        let (before, after) = (rng.in_range(0..=4usize), rng.in_range(0..=4usize));
+        let rtp = |j: usize| PacketBuilder::new(96, j as u16, j as u32, ssrc).payload(vec![0x3C; 40]).build();
+        let copies = if payloads.is_empty() { 0 } else { rng.in_range(0..=8 * payloads.len()).min(filler - before) };
+        let tuple = FiveTuple::udp("10.0.0.1:1000".parse().unwrap(), "1.2.3.4:2000".parse().unwrap());
+        let datagrams: Vec<Datagram> = (0..filler - before - copies)
+            .map(|_| Vec::new())
+            .chain((0..copies).map(|j| payloads[j % payloads.len()].clone()))
+            .chain((0..before).map(rtp))
+            .chain(payloads.iter().cloned())
+            .chain((before..before + after).map(rtp))
+            .enumerate()
+            .map(|(i, p)| Datagram {
+                ts: Timestamp::from_millis(i as u64),
+                five_tuple: tuple,
+                payload: Bytes::from(p),
+            })
+            .collect();
+        let extracted: u64 = datagrams.iter().map(|d| extract_candidates_naive(&d.payload, k).len() as u64).sum();
+        for min_group in [0, DpiConfig::default().rtp_min_group] {
+            let serial = DpiConfig { max_offset: k, rtp_min_group: min_group, threads: 1, ..DpiConfig::default() };
+            let chunked = DpiConfig { threads: 3, parallel_threshold: 1, ..serial };
+            assert_eq!(planned_threads(datagrams.len(), &chunked) > 1, datagrams.len() > CHUNK_DATAGRAMS);
+            let (want, want_stats) = dissect_call_sampled(&datagrams, &serial, 0);
+            let (got, got_stats) = dissect_call_sampled(&datagrams, &chunked, 0);
+            assert_eq!(got, want, "min_group {min_group}");
+            assert_eq!(got_stats, want_stats, "min_group {min_group}");
+            assert_eq!(want_stats.candidates.iter().sum::<u64>(), extracted, "min_group {min_group}");
+            if min_group == 0 {
+                assert_eq!(want_stats.kept_candidates, extracted);
+            } else {
+                chunked_runs += (datagrams.len() > CHUNK_DATAGRAMS) as usize;
+                cut += extracted - want_stats.kept_candidates;
+                validated_rtp += want.messages().filter(|(_, m)| m.protocol == Protocol::Rtp).count();
+            }
+        }
+    });
+    assert!(chunked_runs > 0, "some cases must run the chunked path");
+    assert!(cut > 0 && validated_rtp > 0, "the cases must both cut noise and validate groups");
 }
 
 #[test]

@@ -805,14 +805,8 @@ pub fn execute(command: Command, out: &mut dyn std::io::Write) -> std::io::Resul
                 checked.volume_compliance() * 100.0,
                 checked.messages.len()
             )?;
-            let mut by_type: std::collections::BTreeMap<_, (usize, usize)> = Default::default();
-            for m in &checked.messages {
-                let e = by_type.entry((m.protocol, m.type_key)).or_insert((0, 0));
-                e.1 += 1;
-                e.0 += m.is_compliant() as usize;
-            }
-            for ((p, t), (ok, total)) in by_type {
-                writeln!(out, "  {p} type {t}: {ok}/{total} compliant")?;
+            for ((p, t), n) in checked.type_counts() {
+                writeln!(out, "  {p} type {t}: {}/{} compliant", n.compliant, n.messages)?;
             }
             for profile in rtc_core::dpi::proprietary::profile_streams(&dissection, 20) {
                 writeln!(out, "  header profile: {}", profile.summary())?;

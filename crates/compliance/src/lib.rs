@@ -34,12 +34,14 @@ pub mod quic;
 pub mod registry;
 pub mod rtcp;
 pub mod rtp;
+pub mod rule;
 pub mod stun;
 
+pub use rule::Rule;
+
 use rtc_dpi::{CallDissection, CandidateKind, Protocol};
-use rtc_pcap::Timestamp;
-use rtc_wire::ip::FiveTuple;
 use rtc_wire::WireError;
+use std::collections::BTreeMap;
 
 /// The five criteria, in evaluation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -69,14 +71,18 @@ impl Criterion {
     }
 }
 
-/// A compliance violation: the failing criterion and a human-readable
-/// explanation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A compliance violation: the rule the message broke and up to two
+/// numeric operands for the explanation. It holds no text: `Display`
+/// renders the explanation from these fields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Violation {
-    /// The first criterion the message failed.
-    pub criterion: Criterion,
-    /// What exactly was violated.
-    pub detail: String,
+    /// The first rule the message broke; it fixes the criterion.
+    pub rule: Rule,
+    /// The message, attribute or packet type the rule names, or a small
+    /// count; 0 when the rule takes none (see [`Rule`]).
+    pub ty: u16,
+    /// A length, a count or a second type; 0 when the rule takes none.
+    pub n: u32,
     /// When the violation was a wire-grammar failure (the candidate no
     /// longer parsed at judgment time), the underlying parse error —
     /// carries protocol, offset, and reason for the report's taxonomy.
@@ -105,16 +111,30 @@ fn cov_violation(criterion: Criterion) {
 }
 
 impl Violation {
-    /// Construct a violation.
-    pub fn new(criterion: Criterion, detail: impl Into<String>) -> Violation {
-        cov_violation(criterion);
-        Violation { criterion, detail: detail.into(), wire: None }
+    /// A violation of `rule`, with no operands.
+    pub fn new(rule: Rule) -> Violation {
+        cov_violation(rule.criterion());
+        Violation { rule, ty: 0, n: 0, wire: None }
+    }
+
+    /// Set the type operand.
+    pub fn with_ty(self, ty: u16) -> Violation {
+        Violation { ty, ..self }
+    }
+
+    /// Set the length/count operand.
+    pub fn with_n(self, n: u32) -> Violation {
+        Violation { n, ..self }
     }
 
     /// Construct a violation from a wire-level parse error.
-    pub fn from_wire(criterion: Criterion, error: WireError) -> Violation {
-        cov_violation(criterion);
-        Violation { criterion, detail: error.to_string(), wire: Some(error) }
+    pub fn from_wire(rule: Rule, error: WireError) -> Violation {
+        Violation { wire: Some(error), ..Violation::new(rule) }
+    }
+
+    /// The first criterion the message failed, read from the rule table.
+    pub fn criterion(&self) -> Criterion {
+        self.rule.criterion()
     }
 }
 
@@ -149,25 +169,46 @@ impl core::fmt::Display for TypeKey {
 }
 
 /// One judged message.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckedMessage {
     /// Protocol family.
     pub protocol: Protocol,
     /// Type key for the message-type metric.
     pub type_key: TypeKey,
-    /// Capture time of the carrying datagram.
-    pub ts: Timestamp,
-    /// The carrying stream.
-    pub stream: FiveTuple,
-    /// `None` = compliant; otherwise the first violated criterion.
+    /// Index of the carrying datagram in the call's
+    /// [`CallDissection::datagrams`], where its capture time and stream
+    /// are. [`check_call`] sets it; [`check_message`], which sees one
+    /// datagram, leaves [`CheckedMessage::UNPLACED`].
+    pub datagram: u32,
+    /// `None` = compliant; otherwise the first violated rule.
     pub violation: Option<Violation>,
 }
 
+// A long call holds one of these per message, so their size is its
+// compliance working set.
+const _: () = assert!(core::mem::size_of::<Violation>() <= 40);
+const _: () = assert!(core::mem::size_of::<CheckedMessage>() <= 64);
+
 impl CheckedMessage {
+    /// The [`CheckedMessage::datagram`] of a message judged outside a
+    /// dissection.
+    pub const UNPLACED: u32 = u32::MAX;
+
     /// Whether the message satisfied all five criteria.
     pub fn is_compliant(&self) -> bool {
         self.violation.is_none()
     }
+}
+
+/// How many messages of one `(protocol, type)` a call carried, and how
+/// many of them were compliant. A stored count always has `messages ≥ 1`
+/// and `compliant ≤ messages`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TypeCount {
+    /// Messages of this type.
+    pub messages: usize,
+    /// Of those, the compliant ones.
+    pub compliant: usize,
 }
 
 /// All judged messages of one call.
@@ -188,13 +229,26 @@ impl CheckedCall {
         }
         self.messages.iter().filter(|m| m.is_compliant()).count() as f64 / self.messages.len() as f64
     }
+
+    /// The message-type tally: messages and compliant messages per
+    /// `(protocol, type)`, the unit of Tables 4–6.
+    pub fn type_counts(&self) -> BTreeMap<(Protocol, TypeKey), TypeCount> {
+        let mut types: BTreeMap<(Protocol, TypeKey), TypeCount> = BTreeMap::new();
+        for m in &self.messages {
+            let c = types.entry((m.protocol, m.type_key)).or_default();
+            c.messages += 1;
+            c.compliant += m.is_compliant() as usize;
+        }
+        types
+    }
 }
 
-/// Judge one DPI-extracted message against the five criteria.
+/// Judge one DPI-extracted message against the five criteria. Allocates
+/// nothing.
 ///
-/// The per-message unit shared by the batch [`check_call`] path and the
-/// streaming pipeline, which judges each dissected datagram's messages as
-/// they arrive once the whole-call [`context::CallContext`] is sealed.
+/// The per-message unit of [`check_call`], for callers that walk a
+/// dissection themselves once the whole-call [`context::CallContext`] is
+/// sealed. The result is [`CheckedMessage::UNPLACED`].
 pub fn check_message(
     dgram: &rtc_dpi::DatagramDissection,
     msg: &rtc_dpi::DpiMessage,
@@ -218,20 +272,23 @@ pub fn check_message(
             }
         }
     }
-    CheckedMessage { protocol: msg.protocol, type_key, ts: dgram.ts, stream: dgram.stream, violation }
+    CheckedMessage { protocol: msg.protocol, type_key, datagram: CheckedMessage::UNPLACED, violation }
 }
 
-/// Judge every message of a dissected call.
+/// Judge every message of a dissected call. Allocates only the call
+/// context and the exactly sized output vector.
 pub fn check_call(dissection: &CallDissection) -> CheckedCall {
     let ctx = context::CallContext::build(dissection);
-    let mut out = CheckedCall::default();
-    out.messages.reserve_exact(dissection.datagrams.iter().map(|d| d.messages.len()).sum());
-    for (dgram, msg) in dissection.messages() {
-        out.messages.push(check_message(dgram, msg, &ctx));
+    let mut messages = Vec::with_capacity(dissection.datagrams.iter().map(|d| d.messages.len()).sum());
+    let mut fully_proprietary_datagrams = 0;
+    for (i, dgram) in dissection.datagrams.iter().enumerate() {
+        let datagram = u32::try_from(i).unwrap_or(CheckedMessage::UNPLACED);
+        for msg in &dgram.messages {
+            messages.push(CheckedMessage { datagram, ..check_message(dgram, msg, &ctx) });
+        }
+        fully_proprietary_datagrams += (dgram.class == rtc_dpi::DatagramClass::FullyProprietary) as usize;
     }
-    out.fully_proprietary_datagrams =
-        dissection.datagrams.iter().filter(|d| d.class == rtc_dpi::DatagramClass::FullyProprietary).count();
-    out
+    CheckedCall { messages, fully_proprietary_datagrams }
 }
 
 #[cfg(test)]
@@ -240,6 +297,8 @@ mod tests {
     use bytes::Bytes;
     use rtc_dpi::{dissect_call, DpiConfig};
     use rtc_pcap::trace::Datagram;
+    use rtc_pcap::Timestamp;
+    use rtc_wire::ip::FiveTuple;
     use rtc_wire::rtp::PacketBuilder;
     use rtc_wire::stun::{attr, msg_type, MessageBuilder};
 
@@ -276,6 +335,7 @@ mod tests {
         let out = check(datagrams);
         assert_eq!(out.messages.len(), 8);
         assert_eq!(out.messages.capacity(), out.messages.len());
+        assert_eq!(out.messages.iter().map(|m| m.datagram).collect::<Vec<_>>(), (0..8).collect::<Vec<u32>>());
     }
 
     #[test]
@@ -283,7 +343,7 @@ mod tests {
         let msg = MessageBuilder::new(0x0800, [9; 12]).attribute(attr::PRIORITY, vec![0, 0, 0, 1]).build();
         let out = check(vec![dgram(0, msg)]);
         let v = out.messages[0].violation.as_ref().unwrap();
-        assert_eq!(v.criterion, Criterion::MessageTypeDefined);
+        assert_eq!(v.criterion(), Criterion::MessageTypeDefined);
     }
 
     #[test]
@@ -291,8 +351,8 @@ mod tests {
         let msg = MessageBuilder::new(msg_type::BINDING_REQUEST, [9; 12]).attribute(0x4007, vec![1, 2]).build();
         let out = check(vec![dgram(0, msg)]);
         let v = out.messages[0].violation.as_ref().unwrap();
-        assert_eq!(v.criterion, Criterion::AttributeTypesDefined);
-        assert!(v.detail.contains("0x4007"), "{}", v.detail);
+        assert_eq!(v.criterion(), Criterion::AttributeTypesDefined);
+        assert!(v.to_string().contains("0x4007"), "{v}");
     }
 
     #[test]
@@ -304,7 +364,7 @@ mod tests {
             .build();
         let out = check(vec![dgram(0, msg)]);
         let v = out.messages[0].violation.as_ref().unwrap();
-        assert_eq!(v.criterion, Criterion::AttributeValuesValid);
+        assert_eq!(v.criterion(), Criterion::AttributeValuesValid);
     }
 
     #[test]
@@ -312,7 +372,7 @@ mod tests {
         // Undefined type AND undefined attribute: only criterion 1 reported.
         let msg = MessageBuilder::new(0x0805, [9; 12]).attribute(0x4007, vec![1]).build();
         let out = check(vec![dgram(0, msg)]);
-        assert_eq!(out.messages[0].violation.as_ref().unwrap().criterion, Criterion::MessageTypeDefined);
+        assert_eq!(out.messages[0].violation.as_ref().unwrap().criterion(), Criterion::MessageTypeDefined);
     }
 
     #[test]
@@ -342,7 +402,7 @@ mod tests {
             .collect();
         let out = check(d);
         for m in &out.messages {
-            assert_eq!(m.violation.as_ref().unwrap().criterion, Criterion::AttributeTypesDefined);
+            assert_eq!(m.violation.as_ref().unwrap().criterion(), Criterion::AttributeTypesDefined);
         }
     }
 
@@ -363,7 +423,7 @@ mod tests {
             .collect();
         let out = check(d);
         for m in &out.messages {
-            assert_eq!(m.violation.as_ref().unwrap().criterion, Criterion::AttributeValuesValid);
+            assert_eq!(m.violation.as_ref().unwrap().criterion(), Criterion::AttributeValuesValid);
         }
     }
 

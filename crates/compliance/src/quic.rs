@@ -4,30 +4,27 @@
 //! the fixed bit, a known version, and connection-ID lengths. The paper
 //! found all observed QUIC traffic (FaceTime's) fully compliant.
 
-use crate::{Criterion, TypeKey, Violation};
+use crate::{Rule, TypeKey, Violation};
 use rtc_dpi::{CandidateKind, DatagramDissection, DpiMessage};
-use rtc_wire::quic::{LongHeader, ShortHeader};
+use rtc_wire::quic::{LongHeaderRef, ShortHeader};
 
 /// Judge one QUIC packet (long or short header).
 pub fn check_quic(_dgram: &DatagramDissection, msg: &DpiMessage) -> (TypeKey, Option<Violation>) {
     match &msg.kind {
         CandidateKind::QuicLong { .. } => {
             rtc_cov::probe!("compliance.quic.long");
-            let parsed = match LongHeader::parse(&msg.data) {
+            let parsed = match LongHeaderRef::parse(&msg.data) {
                 Ok(h) => h,
-                Err(e) => return (TypeKey::QuicLong(0), Some(Violation::from_wire(Criterion::HeaderFieldsValid, e))),
+                Err(e) => return (TypeKey::QuicLong(0), Some(Violation::from_wire(Rule::QuicLongUnparsed, e))),
             };
             let key = TypeKey::QuicLong(parsed.long_type.bits());
             // Criterion 2: the fixed bit MUST be 1 (RFC 9000 §17.2) and
             // connection IDs are capped at 20 bytes (§17.2).
             if !parsed.fixed_bit {
-                return (key, Some(Violation::new(Criterion::HeaderFieldsValid, "fixed bit is zero")));
+                return (key, Some(Violation::new(Rule::QuicLongFixedBit)));
             }
             if parsed.dcid.len() > 20 || parsed.scid.len() > 20 {
-                return (
-                    key,
-                    Some(Violation::new(Criterion::HeaderFieldsValid, "connection ID longer than 20 bytes")),
-                );
+                return (key, Some(Violation::new(Rule::QuicCidLength)));
             }
             (key, None)
         }
@@ -38,22 +35,23 @@ pub fn check_quic(_dgram: &DatagramDissection, msg: &DpiMessage) -> (TypeKey, Op
             // IDs; here the fixed bit is re-checked on the first byte.
             match ShortHeader::parse(&msg.data, 0) {
                 Ok(h) if h.fixed_bit => (key, None),
-                Ok(_) => (key, Some(Violation::new(Criterion::HeaderFieldsValid, "fixed bit is zero"))),
-                Err(e) => (key, Some(Violation::from_wire(Criterion::HeaderFieldsValid, e))),
+                Ok(_) => (key, Some(Violation::new(Rule::QuicShortFixedBit))),
+                Err(e) => (key, Some(Violation::from_wire(Rule::QuicShortUnparsed, e))),
             }
         }
-        _ => (TypeKey::QuicShort, Some(Violation::new(Criterion::HeaderFieldsValid, "not a QUIC candidate"))),
+        _ => (TypeKey::QuicShort, Some(Violation::new(Rule::NotQuic))),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Criterion;
     use bytes::Bytes;
     use rtc_dpi::{DatagramClass, Protocol};
     use rtc_pcap::Timestamp;
     use rtc_wire::ip::FiveTuple;
-    use rtc_wire::quic::{LongType, VERSION_1};
+    use rtc_wire::quic::{LongHeader, LongType, VERSION_1};
 
     fn wrap(kind: CandidateKind, data: Vec<u8>) -> (DatagramDissection, DpiMessage) {
         let msg = DpiMessage { protocol: Protocol::Quic, kind, offset: 0, data: Bytes::from(data), nested: false };
@@ -100,7 +98,7 @@ mod tests {
         };
         let (d, m) = wrap(CandidateKind::QuicLong { version: VERSION_1 }, h.build());
         let v = check_quic(&d, &m).1.unwrap();
-        assert_eq!(v.criterion, Criterion::HeaderFieldsValid);
+        assert_eq!(v.criterion(), Criterion::HeaderFieldsValid);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! bucket, which is how Google Meet's 0x0200/0x0300 exchanges count as
 //! compliant in Table 4.
 
+use crate::Rule;
 use rtc_wire::stun::{attr, family, msg_type};
 
 /// Whether a STUN/TURN 16-bit message type is defined.
@@ -55,13 +56,27 @@ pub fn stun_attr_defined(attr_type: u16) -> bool {
     )
 }
 
-/// Validate a defined attribute's value shape (criterion 4). Returns a
-/// description of the problem, or `None` if valid.
-pub fn stun_attr_value_problem(attr_type: u16, value: &[u8]) -> Option<String> {
+/// A criterion-4 problem with one STUN attribute value: the rule it breaks
+/// and that rule's length/value operand (the attribute type is the other).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ValueProblem {
+    /// The broken rule.
+    pub rule: Rule,
+    /// The operand the rule's explanation prints (see [`Rule`]).
+    pub n: u32,
+}
+
+fn problem(rule: Rule, n: usize) -> ValueProblem {
+    ValueProblem { rule, n: n as u32 }
+}
+
+/// Validate a defined attribute's value shape (criterion 4). Returns the
+/// problem, or `None` if valid.
+pub fn stun_attr_value_problem(attr_type: u16, value: &[u8]) -> Option<ValueProblem> {
     use attr::*;
-    let fixed = |n: usize| -> Option<String> {
-        (value.len() != n).then(|| format!("expected {n} bytes, got {}", value.len()))
-    };
+    // STUN attribute lengths are 16-bit, so the actual length fits below
+    // the expected one in the operand.
+    let fixed = |n: usize| (value.len() != n).then(|| problem(Rule::StunAttrLength, n << 16 | value.len()));
     match attr_type {
         MAPPED_ADDRESS | RESPONSE_ADDRESS | SOURCE_ADDRESS | CHANGED_ADDRESS | REFLECTED_FROM | ALTERNATE_SERVER
         | XOR_MAPPED_ADDRESS | XOR_PEER_ADDRESS | XOR_RELAYED_ADDRESS | RESPONSE_ORIGIN | OTHER_ADDRESS => {
@@ -69,60 +84,58 @@ pub fn stun_attr_value_problem(attr_type: u16, value: &[u8]) -> Option<String> {
         }
         CHANNEL_NUMBER => {
             if value.len() != 4 {
-                return Some(format!("CHANNEL-NUMBER must be 4 bytes, got {}", value.len()));
+                return Some(problem(Rule::StunChannelNumberLength, value.len()));
             }
             let channel = u16::from_be_bytes([value[0], value[1]]);
             if !(0x4000..=0x4FFF).contains(&channel) {
-                return Some(format!("channel number {channel:#06x} outside 0x4000-0x4FFF"));
+                return Some(problem(Rule::StunChannelNumberRange, channel.into()));
             }
             None
         }
         LIFETIME | PRIORITY | FINGERPRINT | RESPONSE_PORT => fixed(4),
         REQUESTED_TRANSPORT => {
-            fixed(4).or_else(|| (value[0] != 17).then(|| format!("transport protocol {} is not UDP", value[0])))
+            fixed(4).or_else(|| (value[0] != 17).then(|| problem(Rule::StunTransportNotUdp, value[0].into())))
         }
         REQUESTED_ADDRESS_FAMILY => fixed(4).or_else(|| {
             (value[0] != family::IPV4 && value[0] != family::IPV6)
-                .then(|| format!("address family {:#04x}", value[0]))
+                .then(|| problem(Rule::StunRequestedFamily, value[0].into()))
         }),
         ERROR_CODE => {
             if value.len() < 4 {
-                return Some("ERROR-CODE shorter than 4 bytes".into());
+                return Some(problem(Rule::StunErrorCodeShort, 0));
             }
             let class = value[2] & 0x07;
             let number = value[3];
             if !(3..=6).contains(&class) || number > 99 {
-                return Some(format!("error code {}{:02}", class, number));
+                return Some(problem(Rule::StunErrorCodeRange, usize::from(class) << 8 | usize::from(number)));
             }
             None
         }
         MESSAGE_INTEGRITY => fixed(20),
         MESSAGE_INTEGRITY_SHA256 => (value.len() < 16 || value.len() > 32 || !value.len().is_multiple_of(4))
-            .then(|| format!("SHA256 integrity length {}", value.len())),
+            .then(|| problem(Rule::StunSha256Length, value.len())),
         RESERVATION_TOKEN => fixed(8),
         EVEN_PORT => fixed(1),
         USE_CANDIDATE | DONT_FRAGMENT => fixed(0),
         ICE_CONTROLLED | ICE_CONTROLLING => fixed(8),
         CONNECTION_ID => fixed(4),
-        USERNAME => (value.len() > 513).then(|| "USERNAME longer than 513 bytes".into()),
-        REALM | NONCE | SOFTWARE | ALTERNATE_DOMAIN => {
-            (value.len() > 763).then(|| "value longer than 763 bytes".into())
-        }
+        USERNAME => (value.len() > 513).then(|| problem(Rule::StunUsernameLength, 0)),
+        REALM | NONCE | SOFTWARE | ALTERNATE_DOMAIN => (value.len() > 763).then(|| problem(Rule::StunTextLength, 0)),
         _ => None,
     }
 }
 
-fn address_value_problem(value: &[u8]) -> Option<String> {
+fn address_value_problem(value: &[u8]) -> Option<ValueProblem> {
     if value.len() < 4 {
-        return Some("address attribute shorter than 4 bytes".into());
+        return Some(problem(Rule::StunAddressShort, 0));
     }
     match value[1] {
         family::IPV4 if value.len() == 8 => None,
         family::IPV6 if value.len() == 20 => None,
         family::IPV4 | family::IPV6 => {
-            Some(format!("address length {} does not match family {:#04x}", value.len(), value[1]))
+            Some(problem(Rule::StunAddressLength, value.len() << 8 | usize::from(value[1])))
         }
-        other => Some(format!("address family {other:#04x} (must be 0x01 or 0x02)")),
+        other => Some(problem(Rule::StunAddressFamily, other.into())),
     }
 }
 

@@ -16,9 +16,9 @@
 //! criterion-5 violation.
 
 use crate::registry;
-use crate::{Criterion, TypeKey, Violation};
+use crate::{Rule, TypeKey, Violation};
 use rtc_dpi::{DatagramDissection, DpiMessage};
-use rtc_wire::rtcp::{self, Packet};
+use rtc_wire::rtcp::{self, Packet, SdesEntry};
 
 /// How the carrying datagram's trailing bytes classify.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,17 +65,14 @@ pub fn classify_trailer(trailing: &[u8]) -> TrailerKind {
 pub fn check_rtcp(dgram: &DatagramDissection, msg: &DpiMessage) -> (TypeKey, Option<Violation>) {
     let parsed = match Packet::new_checked(&msg.data) {
         Ok(p) => p,
-        Err(e) => return (TypeKey::Rtcp(0), Some(Violation::from_wire(Criterion::HeaderFieldsValid, e))),
+        Err(e) => return (TypeKey::Rtcp(0), Some(Violation::from_wire(Rule::RtcpUnparsed, e))),
     };
     let pt = parsed.packet_type();
     let key = TypeKey::Rtcp(pt);
 
     // Criterion 1: packet type defined.
     if !registry::rtcp_type_defined(pt) {
-        return (
-            key,
-            Some(Violation::new(Criterion::MessageTypeDefined, format!("RTCP packet type {pt} is not defined"))),
-        );
+        return (key, Some(Violation::new(Rule::RtcpTypeUndefined).with_ty(pt.into())));
     }
 
     // Criterion 2: header consistency — the count field must fit the
@@ -93,13 +90,7 @@ pub fn check_rtcp(dgram: &DatagramDissection, msg: &DpiMessage) -> (TypeKey, Opt
         _ => 4,
     };
     if body_len < min_body {
-        return (
-            key,
-            Some(Violation::new(
-                Criterion::HeaderFieldsValid,
-                format!("count field {count} inconsistent with packet length ({body_len} body bytes)"),
-            )),
-        );
+        return (key, Some(Violation::new(Rule::RtcpCountLength).with_ty(count as u16).with_n(body_len as u32)));
     }
 
     let trailer = classify_trailer(&dgram.trailing);
@@ -114,61 +105,36 @@ pub fn check_rtcp(dgram: &DatagramDissection, msg: &DpiMessage) -> (TypeKey, Opt
     // Criteria 3/4 on packet internals — only meaningful in plaintext.
     if !encrypted {
         match pt {
-            202 => match rtcp::Sdes::parse(&parsed) {
-                Ok(sdes) => {
-                    for chunk in &sdes.chunks {
-                        for (item, _) in &chunk.items {
-                            if !registry::sdes_item_defined(*item) {
-                                return (
-                                    key,
-                                    Some(Violation::new(
-                                        Criterion::AttributeTypesDefined,
-                                        format!("SDES item type {item} is not defined"),
-                                    )),
-                                );
-                            }
+            202 => {
+                // Walk the whole packet before judging its items: a walk
+                // that fails anywhere is a criterion-4 failure, which
+                // outranks an undefined item before it.
+                let mut undefined = None;
+                let walk = rtcp::Sdes::walk(&parsed, |entry| {
+                    if let SdesEntry::Item { kind, .. } = entry {
+                        if undefined.is_none() && !registry::sdes_item_defined(kind) {
+                            undefined = Some(kind);
                         }
                     }
+                });
+                if walk.is_err() {
+                    return (key, Some(Violation::new(Rule::RtcpSdesWalk)));
                 }
-                Err(_) => {
-                    return (
-                        key,
-                        Some(Violation::new(
-                            Criterion::AttributeValuesValid,
-                            "SDES chunks do not walk to the declared length",
-                        )),
-                    )
+                if let Some(item) = undefined {
+                    return (key, Some(Violation::new(Rule::RtcpSdesItemUndefined).with_ty(item.into())));
                 }
-            },
+            }
             204 => {
                 let body = parsed.body();
                 if body.len() >= 8 && !body[4..8].iter().all(|b| b.is_ascii_graphic() || *b == b' ') {
-                    return (
-                        key,
-                        Some(Violation::new(
-                            Criterion::AttributeValuesValid,
-                            "APP name field is not four ASCII characters",
-                        )),
-                    );
+                    return (key, Some(Violation::new(Rule::RtcpAppName)));
                 }
             }
             205 if !registry::rtpfb_fmt_defined(parsed.count()) => {
-                return (
-                    key,
-                    Some(Violation::new(
-                        Criterion::AttributeTypesDefined,
-                        format!("RTPFB feedback message type {} is not defined", parsed.count()),
-                    )),
-                );
+                return (key, Some(Violation::new(Rule::RtcpRtpfbUndefined).with_ty(parsed.count().into())));
             }
             206 if !registry::psfb_fmt_defined(parsed.count()) => {
-                return (
-                    key,
-                    Some(Violation::new(
-                        Criterion::AttributeTypesDefined,
-                        format!("PSFB feedback message type {} is not defined", parsed.count()),
-                    )),
-                );
+                return (key, Some(Violation::new(Rule::RtcpPsfbUndefined).with_ty(parsed.count().into())));
             }
             207 => {
                 // Walk XR blocks: type(1) reserved(1) length(2 words).
@@ -177,13 +143,7 @@ pub fn check_rtcp(dgram: &DatagramDissection, msg: &DpiMessage) -> (TypeKey, Opt
                 while o + 4 <= body.len() {
                     let block = body[o];
                     if !registry::xr_block_defined(block) {
-                        return (
-                            key,
-                            Some(Violation::new(
-                                Criterion::AttributeTypesDefined,
-                                format!("XR block type {block} is not defined"),
-                            )),
-                        );
+                        return (key, Some(Violation::new(Rule::RtcpXrBlockUndefined).with_ty(block.into())));
                     }
                     let words = u16::from_be_bytes([body[o + 2], body[o + 3]]) as usize;
                     o += 4 + 4 * words;
@@ -196,25 +156,13 @@ pub fn check_rtcp(dgram: &DatagramDissection, msg: &DpiMessage) -> (TypeKey, Opt
     // Criterion 4 (SRTCP): the authentication tag is mandatory (RFC 3711).
     if let TrailerKind::Srtcp { auth_tag_len } = trailer {
         if auth_tag_len == 0 {
-            return (
-                key,
-                Some(Violation::new(
-                    Criterion::AttributeValuesValid,
-                    "SRTCP trailer carries no authentication tag (RFC 3711 §3.4 requires one)",
-                )),
-            );
+            return (key, Some(Violation::new(Rule::SrtcpNoAuthTag)));
         }
     }
 
     // Criterion 5: unexplained trailing bytes after the compound.
     if let TrailerKind::Undefined { len } = trailer {
-        return (
-            key,
-            Some(Violation::new(
-                Criterion::SyntaxSemanticIntegrity,
-                format!("{len} trailing byte(s) after the RTCP compound match no defined trailer"),
-            )),
-        );
+        return (key, Some(Violation::new(Rule::RtcpTrailerUndefined).with_n(len as u32)));
     }
 
     (key, None)
@@ -223,6 +171,7 @@ pub fn check_rtcp(dgram: &DatagramDissection, msg: &DpiMessage) -> (TypeKey, Opt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Criterion;
     use bytes::Bytes;
     use rtc_dpi::{CandidateKind, DatagramClass, Protocol};
     use rtc_pcap::Timestamp;
@@ -281,15 +230,15 @@ mod tests {
         let trailer = rtcp::SrtcpTrailer { encrypted: true, index: 9, auth_tag_len: 0 }.build(1);
         let (d, m) = wrap(sample_sr(), trailer);
         let v = check_rtcp(&d, &m).1.unwrap();
-        assert_eq!(v.criterion, Criterion::AttributeValuesValid);
-        assert!(v.detail.contains("authentication tag"));
+        assert_eq!(v.criterion(), Criterion::AttributeValuesValid);
+        assert!(v.to_string().contains("authentication tag"));
     }
 
     #[test]
     fn discord_three_byte_trailer_fails_criterion_five() {
         let (d, m) = wrap(sample_sr(), vec![0x00, 0x2A, 0x80]);
         let v = check_rtcp(&d, &m).1.unwrap();
-        assert_eq!(v.criterion, Criterion::SyntaxSemanticIntegrity);
+        assert_eq!(v.criterion(), Criterion::SyntaxSemanticIntegrity);
     }
 
     #[test]
@@ -299,7 +248,7 @@ mod tests {
         sr[0] = (sr[0] & 0xE0) | 2;
         let (d, m) = wrap(sr, vec![]);
         let v = check_rtcp(&d, &m).1.unwrap();
-        assert_eq!(v.criterion, Criterion::HeaderFieldsValid);
+        assert_eq!(v.criterion(), Criterion::HeaderFieldsValid);
     }
 
     #[test]
@@ -314,7 +263,7 @@ mod tests {
         .build();
         let (d, m) = wrap(fb, vec![]);
         let v = check_rtcp(&d, &m).1.unwrap();
-        assert_eq!(v.criterion, Criterion::AttributeTypesDefined);
+        assert_eq!(v.criterion(), Criterion::AttributeTypesDefined);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! Discord) and reserved-ID misuse (criterion 4, Discord).
 
 use crate::registry;
-use crate::{Criterion, TypeKey, Violation};
+use crate::{Rule, TypeKey, Violation};
 use rtc_dpi::{DatagramDissection, DpiMessage};
 use rtc_wire::rtp::Packet;
 
@@ -16,7 +16,7 @@ use rtc_wire::rtp::Packet;
 pub fn check_rtp(_dgram: &DatagramDissection, msg: &DpiMessage) -> (TypeKey, Option<Violation>) {
     let parsed = match Packet::new_checked(&msg.data) {
         Ok(p) => p,
-        Err(e) => return (TypeKey::Rtp(0), Some(Violation::from_wire(Criterion::HeaderFieldsValid, e))),
+        Err(e) => return (TypeKey::Rtp(0), Some(Violation::from_wire(Rule::RtpUnparsed, e))),
     };
     let key = TypeKey::Rtp(parsed.payload_type());
 
@@ -36,46 +36,22 @@ pub fn check_rtp(_dgram: &DatagramDissection, msg: &DpiMessage) -> (TypeKey, Opt
         }
         // Criterion 3: the extension mechanism must be a defined one.
         if !registry::rtp_ext_profile_defined(ext.profile) {
-            return (
-                key,
-                Some(Violation::new(
-                    Criterion::AttributeTypesDefined,
-                    format!("header-extension profile {:#06x} is not defined (RFC 8285)", ext.profile),
-                )),
-            );
+            return (key, Some(Violation::new(Rule::RtpExtProfileUndefined).with_ty(ext.profile)));
         }
         // Criterion 4: element-level rules.
         if ext.is_one_byte_form() {
             for el in ext.one_byte_elements() {
                 if el.id == 0 && (el.wire_len > 0 || !el.data.is_empty()) {
-                    return (
-                        key,
-                        Some(Violation::new(
-                            Criterion::AttributeValuesValid,
-                            "extension element with reserved ID 0 carries a non-zero length (RFC 8285 §4.2)",
-                        )),
-                    );
+                    return (key, Some(Violation::new(Rule::RtpExtReservedId)));
                 }
                 if el.data.len() != el.wire_len as usize + 1 {
-                    return (
-                        key,
-                        Some(Violation::new(
-                            Criterion::AttributeValuesValid,
-                            "extension element truncated by the extension boundary",
-                        )),
-                    );
+                    return (key, Some(Violation::new(Rule::RtpExtOneByteTruncated)));
                 }
             }
         } else {
             for el in ext.two_byte_elements() {
                 if el.data.len() != el.wire_len as usize {
-                    return (
-                        key,
-                        Some(Violation::new(
-                            Criterion::AttributeValuesValid,
-                            "two-byte-form element truncated by the extension boundary",
-                        )),
-                    );
+                    return (key, Some(Violation::new(Rule::RtpExtTwoByteTruncated)));
                 }
             }
         }
@@ -87,6 +63,7 @@ pub fn check_rtp(_dgram: &DatagramDissection, msg: &DpiMessage) -> (TypeKey, Opt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Criterion;
     use bytes::Bytes;
     use rtc_dpi::{CandidateKind, DatagramClass, Protocol};
     use rtc_pcap::Timestamp;
@@ -138,8 +115,8 @@ mod tests {
         let (d, m) =
             wrap(PacketBuilder::new(104, 1, 2, 3).extension(0x8D00, vec![1, 2, 3, 4]).payload(vec![0; 40]).build());
         let v = check_rtp(&d, &m).1.unwrap();
-        assert_eq!(v.criterion, Criterion::AttributeTypesDefined);
-        assert!(v.detail.contains("0x8d00"), "{}", v.detail);
+        assert_eq!(v.criterion(), Criterion::AttributeTypesDefined);
+        assert!(v.to_string().contains("0x8d00"), "{v}");
     }
 
     #[test]
@@ -149,7 +126,7 @@ mod tests {
         let (d, m) =
             wrap(PacketBuilder::new(120, 1, 2, 3).extension(ONE_BYTE_PROFILE, data).payload(vec![0; 4]).build());
         let v = check_rtp(&d, &m).1.unwrap();
-        assert_eq!(v.criterion, Criterion::AttributeValuesValid);
+        assert_eq!(v.criterion(), Criterion::AttributeValuesValid);
     }
 
     #[test]

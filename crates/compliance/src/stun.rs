@@ -3,7 +3,7 @@
 
 use crate::context::CallContext;
 use crate::registry;
-use crate::{Criterion, TypeKey, Violation};
+use crate::{Rule, TypeKey, Violation};
 use rtc_dpi::{DatagramDissection, DpiMessage};
 use rtc_wire::stun::{ChannelData, Message};
 
@@ -14,7 +14,7 @@ pub fn check_stun(dgram: &DatagramDissection, msg: &DpiMessage, ctx: &CallContex
         Ok(m) => m,
         Err(e) => {
             // The DPI only emits parseable messages; guard anyway.
-            return (TypeKey::Stun(0), Some(Violation::from_wire(Criterion::HeaderFieldsValid, e)));
+            return (TypeKey::Stun(0), Some(Violation::from_wire(Rule::StunUnparsed, e)));
         }
     };
     let message_type = parsed.message_type();
@@ -22,13 +22,7 @@ pub fn check_stun(dgram: &DatagramDissection, msg: &DpiMessage, ctx: &CallContex
 
     // Criterion 1: the message type must be defined.
     if !registry::stun_type_defined(message_type) {
-        return (
-            key,
-            Some(Violation::new(
-                Criterion::MessageTypeDefined,
-                format!("message type {message_type:#06x} is not defined in any STUN/TURN specification"),
-            )),
-        );
+        return (key, Some(Violation::new(Rule::StunTypeUndefined).with_ty(message_type)));
     }
 
     // Criterion 2: header fields. The parser already guarantees the type
@@ -38,35 +32,20 @@ pub fn check_stun(dgram: &DatagramDissection, msg: &DpiMessage, ctx: &CallContex
     let mut txid = [0u8; 12];
     txid.copy_from_slice(parsed.transaction_id());
     if ctx.sequential_txids.contains(&(dgram.stream, txid)) {
-        return (
-            key,
-            Some(Violation::new(
-                Criterion::HeaderFieldsValid,
-                "transaction IDs are sequential rather than randomly generated",
-            )),
-        );
+        return (key, Some(Violation::new(Rule::StunSequentialTxid)));
     }
 
     // Criterion 3: every attribute type must be defined.
     for a in parsed.attributes().flatten() {
         if !registry::stun_attr_defined(a.typ) {
-            return (
-                key,
-                Some(Violation::new(
-                    Criterion::AttributeTypesDefined,
-                    format!("attribute type {:#06x} is not defined in any specification", a.typ),
-                )),
-            );
+            return (key, Some(Violation::new(Rule::StunAttrUndefined).with_ty(a.typ)));
         }
     }
 
     // Criterion 4: attribute values must be valid.
     for a in parsed.attributes().flatten() {
         if let Some(problem) = registry::stun_attr_value_problem(a.typ, a.value) {
-            return (
-                key,
-                Some(Violation::new(Criterion::AttributeValuesValid, format!("attribute {:#06x}: {problem}", a.typ))),
-            );
+            return (key, Some(Violation::new(problem.rule).with_ty(a.typ).with_n(problem.n)));
         }
     }
     // Criterion 4: a FINGERPRINT must carry the correct CRC-32 (RFC 8489
@@ -78,26 +57,15 @@ pub fn check_stun(dgram: &DatagramDissection, msg: &DpiMessage, ctx: &CallContex
         }
     }
     if parsed.verify_fingerprint() == Some(false) {
-        return (
-            key,
-            Some(Violation::new(
-                Criterion::AttributeValuesValid,
-                "FINGERPRINT CRC-32 does not match the message contents",
-            )),
-        );
+        return (key, Some(Violation::new(Rule::StunFingerprintCrc)));
     }
 
     // Criterion 5: syntax and semantic integrity.
     // 5a. Attribute ordering: FINGERPRINT, when present, must be the last
     // attribute, after any MESSAGE-INTEGRITY (RFC 8489 §14.7).
-    let order: Vec<u16> = parsed.attributes().flatten().map(|a| a.typ).collect();
-    if let Some(fp) = order.iter().position(|t| *t == rtc_wire::stun::attr::FINGERPRINT) {
-        if fp != order.len() - 1 {
-            return (
-                key,
-                Some(Violation::new(Criterion::SyntaxSemanticIntegrity, "FINGERPRINT is not the final attribute")),
-            );
-        }
+    let mut attrs = parsed.attributes().flatten();
+    if attrs.any(|a| a.typ == rtc_wire::stun::attr::FINGERPRINT) && attrs.next().is_some() {
+        return (key, Some(Violation::new(Rule::StunFingerprintNotLast)));
     }
     // 5b. Allowed attribute set (strict for TURN indications).
     if let Some(allowed) = registry::stun_allowed_attrs(message_type) {
@@ -106,10 +74,7 @@ pub fn check_stun(dgram: &DatagramDissection, msg: &DpiMessage, ctx: &CallContex
             if !allowed.contains(&a.typ) {
                 return (
                     key,
-                    Some(Violation::new(
-                        Criterion::SyntaxSemanticIntegrity,
-                        format!("attribute {:#06x} is not permitted in message type {message_type:#06x}", a.typ),
-                    )),
+                    Some(Violation::new(Rule::StunAttrNotPermitted).with_ty(a.typ).with_n(message_type.into())),
                 );
             }
         }
@@ -119,31 +84,16 @@ pub fn check_stun(dgram: &DatagramDissection, msg: &DpiMessage, ctx: &CallContex
         if parsed.attribute(*req).is_none() {
             return (
                 key,
-                Some(Violation::new(
-                    Criterion::SyntaxSemanticIntegrity,
-                    format!("required attribute {req:#06x} missing from message type {message_type:#06x}"),
-                )),
+                Some(Violation::new(Rule::StunRequiredAttrMissing).with_ty(*req).with_n(message_type.into())),
             );
         }
     }
     // 5d. Behavioral context: over-retransmission and Allocate ping-pong.
     if ctx.over_retransmitted.contains(&(dgram.stream, txid)) {
-        return (
-            key,
-            Some(Violation::new(
-                Criterion::SyntaxSemanticIntegrity,
-                "request retransmitted beyond the RFC 8489 budget with no response",
-            )),
-        );
+        return (key, Some(Violation::new(Rule::StunOverRetransmitted)));
     }
     if ctx.pingpong_allocates.contains(&(dgram.stream, txid)) {
-        return (
-            key,
-            Some(Violation::new(
-                Criterion::SyntaxSemanticIntegrity,
-                "Allocate Requests repurposed as periodic connectivity checks",
-            )),
-        );
+        return (key, Some(Violation::new(Rule::StunAllocatePingPong)));
     }
 
     (key, None)
@@ -154,31 +104,16 @@ pub fn check_channeldata(dgram: &DatagramDissection, msg: &DpiMessage) -> (TypeK
     let key = TypeKey::ChannelData;
     let parsed = match ChannelData::new_checked(&msg.data) {
         Ok(c) => c,
-        Err(e) => return (key, Some(Violation::from_wire(Criterion::HeaderFieldsValid, e))),
+        Err(e) => return (key, Some(Violation::from_wire(Rule::ChannelDataUnparsed, e))),
     };
     // Criterion 2: the channel number must fall in RFC 8656's range.
     if !ChannelData::CHANNEL_RANGE.contains(&parsed.channel_number()) {
-        return (
-            key,
-            Some(Violation::new(
-                Criterion::HeaderFieldsValid,
-                format!(
-                    "channel number {:#06x} outside RFC 8656's 0x4000-0x4FFF allocation range",
-                    parsed.channel_number()
-                ),
-            )),
-        );
+        return (key, Some(Violation::new(Rule::ChannelDataRange).with_ty(parsed.channel_number())));
     }
     // Criterion 2: over UDP the frame must cover the datagram exactly —
     // ChannelData has no padding outside stream transports (RFC 8656 §12.5).
     if !dgram.trailing.is_empty() {
-        return (
-            key,
-            Some(Violation::new(
-                Criterion::HeaderFieldsValid,
-                format!("length field leaves {} unexplained byte(s) after the frame", dgram.trailing.len()),
-            )),
-        );
+        return (key, Some(Violation::new(Rule::ChannelDataTrailing).with_n(dgram.trailing.len() as u32)));
     }
     (key, None)
 }
@@ -186,6 +121,7 @@ pub fn check_channeldata(dgram: &DatagramDissection, msg: &DpiMessage) -> (TypeK
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Criterion;
     use bytes::Bytes;
     use rtc_dpi::{CandidateKind, Protocol};
     use rtc_pcap::Timestamp;
@@ -226,7 +162,7 @@ mod tests {
         let (dgram, msg) = wrap(bytes);
         let (key, v) = check_stun(&dgram, &msg, &CallContext::default());
         assert_eq!(key, TypeKey::Stun(msg_type::DATA_INDICATION));
-        assert_eq!(v.unwrap().criterion, Criterion::AttributeValuesValid);
+        assert_eq!(v.unwrap().criterion(), Criterion::AttributeValuesValid);
     }
 
     #[test]
@@ -239,7 +175,7 @@ mod tests {
             .build();
         let (dgram, msg) = wrap(bytes);
         let (_, v) = check_stun(&dgram, &msg, &CallContext::default());
-        assert_eq!(v.unwrap().criterion, Criterion::SyntaxSemanticIntegrity);
+        assert_eq!(v.unwrap().criterion(), Criterion::SyntaxSemanticIntegrity);
     }
 
     #[test]
@@ -251,8 +187,8 @@ mod tests {
         let (dgram, msg) = wrap(bytes);
         let (_, v) = check_stun(&dgram, &msg, &CallContext::default());
         let v = v.unwrap();
-        assert_eq!(v.criterion, Criterion::SyntaxSemanticIntegrity);
-        assert!(v.detail.contains("0x0019"), "{}", v.detail);
+        assert_eq!(v.criterion(), Criterion::SyntaxSemanticIntegrity);
+        assert!(v.to_string().contains("0x0019"), "{v}");
     }
 
     #[test]
@@ -264,8 +200,8 @@ mod tests {
         let (dgram, msg) = wrap(bytes);
         let (_, v) = check_stun(&dgram, &msg, &CallContext::default());
         let v = v.unwrap();
-        assert_eq!(v.criterion, Criterion::AttributeValuesValid);
-        assert!(v.detail.contains("family"), "{}", v.detail);
+        assert_eq!(v.criterion(), Criterion::AttributeValuesValid);
+        assert!(v.to_string().contains("family"), "{v}");
     }
 
     #[test]
@@ -287,7 +223,7 @@ mod tests {
             nested: false,
         };
         let v = check_channeldata(&dgram, &bad).1.unwrap();
-        assert_eq!(v.criterion, Criterion::HeaderFieldsValid);
+        assert_eq!(v.criterion(), Criterion::HeaderFieldsValid);
     }
 
     #[test]
@@ -300,8 +236,8 @@ mod tests {
         let (dgram, msg) = wrap(bytes);
         let (_, v) = check_stun(&dgram, &msg, &CallContext::default());
         let v = v.unwrap();
-        assert_eq!(v.criterion, Criterion::AttributeValuesValid);
-        assert!(v.detail.contains("FINGERPRINT"), "{}", v.detail);
+        assert_eq!(v.criterion(), Criterion::AttributeValuesValid);
+        assert!(v.to_string().contains("FINGERPRINT"), "{v}");
     }
 
     #[test]
@@ -334,8 +270,8 @@ mod tests {
         let (dgram, msg) = wrap(bytes);
         let (_, v) = check_stun(&dgram, &msg, &CallContext::default());
         let v = v.unwrap();
-        assert_eq!(v.criterion, Criterion::SyntaxSemanticIntegrity, "{}", v.detail);
-        assert!(v.detail.contains("final attribute"), "{}", v.detail);
+        assert_eq!(v.criterion(), Criterion::SyntaxSemanticIntegrity, "{v}");
+        assert!(v.to_string().contains("final attribute"), "{v}");
     }
 
     #[test]

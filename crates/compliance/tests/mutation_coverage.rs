@@ -75,7 +75,7 @@ fn judge_rtcp(data: Vec<u8>, trailing: Vec<u8>) -> (TypeKey, Option<Violation>) 
 
 fn assert_fails(cell: &str, got: Option<Violation>, want: Criterion) {
     let v = got.unwrap_or_else(|| panic!("{cell}: expected a violation of criterion {}", want.index()));
-    assert_eq!(v.criterion, want, "{cell}: wrong criterion ({}): {}", v.criterion.index(), v.detail);
+    assert_eq!(v.criterion(), want, "{cell}: wrong criterion ({}): {v}", v.criterion().index());
 }
 
 fn assert_passes(cell: &str, got: Option<Violation>) {

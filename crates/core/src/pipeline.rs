@@ -522,16 +522,17 @@ fn flush_call_metrics(
     }
 
     // Compliance: the five-criterion judgment.
-    let compliant = checked.messages.iter().filter(|m| m.is_compliant()).count() as u64;
+    let mut compliant = 0u64;
+    let mut violations = [0u64; 5];
+    for m in &checked.messages {
+        match &m.violation {
+            None => compliant += 1,
+            Some(v) => violations[(v.criterion().index() - 1) as usize] += 1,
+        }
+    }
     obs.counter("rtc_compliance_messages_total", &[], "Messages judged against the five criteria.")
         .add(checked.messages.len() as u64);
     obs.counter("rtc_compliance_compliant_total", &[], "Messages satisfying all five criteria.").add(compliant);
-    let mut violations = [0u64; 5];
-    for m in &checked.messages {
-        if let Some(v) = &m.violation {
-            violations[(v.criterion.index() - 1) as usize] += 1;
-        }
-    }
     const CRITERIA: [&str; 5] = ["1", "2", "3", "4", "5"];
     for (i, n) in violations.into_iter().enumerate() {
         if n > 0 {

@@ -77,8 +77,8 @@ fn streaming_matches_batch_on_full_smoke_matrix() {
 /// the batch entry point (`analyze_capture`, in memory) and the streaming
 /// one (`analyze_saved_call`, from disk in small chunks) judge the same
 /// messages in the same order, equal in every field — protocol, type,
-/// timestamp, five-tuple, and the violation's criterion, detail text and
-/// wire error.
+/// the carrying datagram's index, timestamp and five-tuple, and the
+/// violation's rule, criterion, operands, rendered text and wire error.
 #[test]
 fn streaming_matches_batch_per_message_on_full_smoke_matrix() {
     let config = StudyConfig::smoke(42);
@@ -94,18 +94,24 @@ fn streaming_matches_batch_per_message_on_full_smoke_matrix() {
             .iter()
             .find(|(_, s)| (&s.app, &s.network, s.repeat) == (&m.app, &m.network, m.repeat))
             .expect("every call was saved");
-        let batch = analyze_capture(cap, &config).record.checked.messages;
-        let streaming = pipeline::analyze_saved_call(pcap, manifest, &config, 17).unwrap().0.record.checked.messages;
+        let batch = analyze_capture(cap, &config);
+        let streaming = pipeline::analyze_saved_call(pcap, manifest, &config, 17).unwrap().0;
+        // A message's place: its datagram's index, capture time and stream.
+        let place = |a: &rtc_core::CallAnalysis, m: &rtc_core::compliance::CheckedMessage| {
+            let d = &a.dissection.datagrams[m.datagram as usize];
+            (m.datagram, d.ts, d.stream)
+        };
         let call = format!("{} / {} #{}", m.app, m.network, m.repeat);
-        assert_eq!(batch.len(), streaming.len(), "{call}: message count");
-        for (i, (b, s)) in batch.iter().zip(&streaming).enumerate() {
+        let (bm, sm) = (&batch.record.checked.messages, &streaming.record.checked.messages);
+        assert_eq!(bm.len(), sm.len(), "{call}: message count");
+        for (i, (b, s)) in bm.iter().zip(sm).enumerate() {
             assert_eq!(
-                (b.protocol, b.type_key, b.ts, b.stream),
-                (s.protocol, s.type_key, s.ts, s.stream),
+                (b.protocol, b.type_key, place(&batch, b)),
+                (s.protocol, s.type_key, place(&streaming, s)),
                 "{call} #{i}"
             );
             let verdict = |v: &Option<rtc_core::compliance::Violation>| {
-                v.as_ref().map(|v| (v.criterion, v.detail.clone(), v.wire))
+                v.as_ref().map(|v| (v.rule, v.criterion(), v.ty, v.n, v.to_string(), v.wire))
             };
             assert_eq!(verdict(&b.violation), verdict(&s.violation), "{call} #{i}: verdict");
             violations += b.violation.is_some() as usize;

@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use rtc_compliance::findings::{Finding, FindingKind};
-use rtc_compliance::{CheckedCall, CheckedMessage, Criterion, TypeKey, Violation};
+use rtc_compliance::{CheckedCall, CheckedMessage, Rule, TypeKey, Violation};
 use rtc_conformance::{vectors, Expect, Parser};
 use rtc_core::capture::ExperimentConfig;
 use rtc_core::filter::FilterConfig;
@@ -261,13 +261,11 @@ fn expect_header() -> CheckpointHeader {
 /// count rows, a finding, a header profile, an SSRC set and a failure,
 /// so mutations start inside every decoder of the aggregator state.
 fn one_call_checkpoint() -> ShardCheckpoint {
-    let stream = FiveTuple::udp(addr("10.0.0.1:3478"), addr("10.0.0.2:50000"));
     let msg = |protocol, type_key, compliant: bool| CheckedMessage {
         protocol,
         type_key,
-        ts: Timestamp::from_micros(1),
-        stream,
-        violation: (!compliant).then(|| Violation::new(Criterion::AttributeTypesDefined, "unknown attribute")),
+        datagram: 0,
+        violation: (!compliant).then(|| Violation::new(Rule::StunAttrUndefined).with_ty(0x4007)),
     };
     let record = CallRecord {
         app: "Zoom".into(),

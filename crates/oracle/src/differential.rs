@@ -192,7 +192,16 @@ fn stream_label(stream: &FiveTuple) -> String {
 }
 
 fn verdict_of(m: &CheckedMessage) -> (String, Option<u8>) {
-    (m.type_key.to_string(), m.violation.as_ref().map(|v| v.criterion.index()))
+    (m.type_key.to_string(), m.violation.as_ref().map(|v| v.criterion().index()))
+}
+
+/// Why production judged a message as it did: the rule it broke, that
+/// rule's RFC clause and the explanation.
+fn prod_reason(m: &CheckedMessage) -> String {
+    match &m.violation {
+        Some(v) => format!("{:?}, {}: {v}", v.rule, v.rule.clause()),
+        None => "compliant".into(),
+    }
 }
 
 /// Re-judge a single message with both checkers after truncating its bytes
@@ -361,7 +370,8 @@ pub fn rejudge_call(scenario: &str, analysis: &rtc_core::CallAnalysis) -> (usize
                 scenario: scenario.to_string(),
                 kind: "verdict".into(),
                 detail: format!(
-                    "production {prod_key}/{prod_crit:?} vs oracle {}/{:?} ({})",
+                    "production {prod_key}/{prod_crit:?} ({}) vs oracle {}/{:?} ({})",
+                    prod_reason(prod),
                     orac.type_key,
                     orac.criterion,
                     orac.detail.as_deref().unwrap_or("compliant"),
@@ -507,6 +517,23 @@ pub fn differential_one(parser: Parser, bytes: &[u8]) -> Option<Divergence> {
 mod tests {
     use super::*;
     use rtc_conformance::vectors;
+
+    #[test]
+    fn production_reason_names_rule_and_clause() {
+        use rtc_core::compliance::{Rule, TypeKey, Violation};
+        let mut m = CheckedMessage {
+            protocol: Protocol::StunTurn,
+            type_key: TypeKey::Stun(0x0001),
+            datagram: 0,
+            violation: Some(Violation::new(Rule::StunFingerprintCrc)),
+        };
+        assert_eq!(
+            prod_reason(&m),
+            "StunFingerprintCrc, RFC 8489 §14.7: FINGERPRINT CRC-32 does not match the message contents"
+        );
+        m.violation = None;
+        assert_eq!(prod_reason(&m), "compliant");
+    }
 
     #[test]
     fn minimize_keeps_divergence() {

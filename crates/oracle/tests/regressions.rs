@@ -61,7 +61,7 @@ fn crosscheck(dgrams: &[Datagram], dissection: &rtc_core::dpi::CallDissection) {
         };
         let prod = check_message(dg, msg, &prod_ctx);
         assert_eq!(
-            (prod.type_key.to_string(), prod.violation.as_ref().map(|v| v.criterion.index())),
+            (prod.type_key.to_string(), prod.violation.as_ref().map(|v| v.criterion().index())),
             (orac.type_key.clone(), orac.criterion),
             "oracle disagrees on {:?} ({})",
             msg.kind,

@@ -13,8 +13,8 @@
 //! Two per-call types split the work:
 //!
 //! * [`CallRecord`] is the per-call *analysis output*: filter statistics,
-//!   datagram classes and every judged message with its timestamp,
-//!   stream and violation. Consumers that need per-message verdicts (the
+//!   datagram classes and every judged message with its datagram's index
+//!   and its violation. Consumers that need per-message verdicts (the
 //!   oracle re-judgement, `rtc-study dissect`, the examples) read it.
 //! * [`CallSummary`] is what the *reports keep*: the same scalars plus,
 //!   per `(protocol, message type)`, a [`TypeCount`] of messages and
@@ -79,16 +79,7 @@ impl CallRecord {
     }
 }
 
-/// How many messages of one `(protocol, type)` a call carried, and how
-/// many of them were compliant. A stored count always has `messages ≥ 1`
-/// and `compliant ≤ messages`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TypeCount {
-    /// Messages of this type.
-    pub messages: usize,
-    /// Of those, the compliant ones.
-    pub compliant: usize,
-}
+pub use rtc_compliance::TypeCount;
 
 /// What the reports keep of one analyzed call: a [`CallRecord`] with its
 /// judged messages folded into per-type [`TypeCount`]s.
@@ -123,12 +114,7 @@ pub struct CallSummary {
 
 impl From<CallRecord> for CallSummary {
     fn from(r: CallRecord) -> CallSummary {
-        let mut types: BTreeMap<(Protocol, TypeKey), TypeCount> = BTreeMap::new();
-        for m in &r.checked.messages {
-            let c = types.entry((m.protocol, m.type_key)).or_default();
-            c.messages += 1;
-            c.compliant += m.is_compliant() as usize;
-        }
+        let types = r.checked.type_counts();
         CallSummary {
             app: r.app,
             network: r.network,
@@ -496,18 +482,14 @@ impl Aggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtc_compliance::CheckedMessage;
-    use rtc_pcap::Timestamp;
-    use rtc_wire::ip::FiveTuple;
+    use rtc_compliance::{CheckedMessage, Rule, Violation};
 
     fn msg(protocol: Protocol, key: TypeKey, compliant: bool) -> CheckedMessage {
         CheckedMessage {
             protocol,
             type_key: key,
-            ts: Timestamp::ZERO,
-            stream: FiveTuple::udp("10.0.0.1:1".parse().unwrap(), "1.2.3.4:2".parse().unwrap()),
-            violation: (!compliant)
-                .then(|| rtc_compliance::Violation::new(rtc_compliance::Criterion::MessageTypeDefined, "x")),
+            datagram: 0,
+            violation: (!compliant).then(|| Violation::new(Rule::StunTypeUndefined)),
         }
     }
 

@@ -291,19 +291,15 @@ impl Aggregator {
 mod tests {
     use super::*;
     use crate::CallRecord;
-    use rtc_compliance::{CheckedCall, CheckedMessage, Criterion, Violation};
-    use rtc_pcap::Timestamp;
-    use rtc_wire::ip::FiveTuple;
+    use rtc_compliance::{CheckedCall, CheckedMessage, Rule, Violation};
 
     fn sample_aggregator() -> Aggregator {
         let mut agg = Aggregator::new();
-        let stream = FiveTuple::udp("10.0.0.1:3478".parse().unwrap(), "[2001:db8::1]:443".parse().unwrap());
         let msg = |protocol, type_key, compliant: bool| CheckedMessage {
             protocol,
             type_key,
-            ts: Timestamp::from_micros(1_234_567),
-            stream,
-            violation: (!compliant).then(|| Violation::new(Criterion::AttributeValuesValid, "bad length")),
+            datagram: 7,
+            violation: (!compliant).then(|| Violation::new(Rule::StunAttrLength).with_ty(0x0013).with_n(4 << 16 | 3)),
         };
         let record = CallRecord {
             app: "Zoom".into(),

@@ -8,12 +8,10 @@
 //! must add up to exactly those messages.
 
 use rtc_compliance::findings::{Finding, FindingKind};
-use rtc_compliance::{CheckedCall, CheckedMessage, Criterion, TypeKey, Violation};
+use rtc_compliance::{CheckedCall, CheckedMessage, Rule, TypeKey, Violation};
 use rtc_conformance::{check_cases, SplitMix64};
 use rtc_dpi::Protocol;
-use rtc_pcap::Timestamp;
 use rtc_report::{Aggregator, CallRecord, StudyData, TypeCount};
-use rtc_wire::ip::FiveTuple;
 use std::collections::{BTreeMap, BTreeSet};
 
 const APPS: [&str; 4] = ["Zoom", "Discord", "FaceTime", "Messenger"];
@@ -34,23 +32,19 @@ fn arb_type_key(rng: &mut SplitMix64) -> TypeKey {
 }
 
 /// A judged message. Only its protocol, type and verdict reach the
-/// checkpoint; the timestamp and stream vary so that duplicates of one
-/// type are distinct messages.
+/// checkpoint; the datagram index and the violation's operand vary so
+/// that duplicates of one type are distinct messages.
 fn arb_message(rng: &mut SplitMix64) -> CheckedMessage {
     let protocol = rng.in_range(0usize..4);
     let type_key = arb_type_key(rng);
-    let micros = rng.in_range(0u64..10_000_000);
-    let addr = (rng.next_u64() as u16).to_be_bytes();
+    let datagram = rng.in_range(0u32..10_000_000);
+    let trailing = rng.next_u64() as u16;
     let compliant = rng.below(2) == 1;
     CheckedMessage {
         protocol: [Protocol::StunTurn, Protocol::Rtp, Protocol::Rtcp, Protocol::Quic][protocol],
         type_key,
-        ts: Timestamp::from_micros(micros),
-        stream: FiveTuple::udp(
-            format!("10.0.0.{}:5004", addr[0]).parse().unwrap(),
-            format!("172.16.0.{}:3478", addr[1]).parse().unwrap(),
-        ),
-        violation: (!compliant).then(|| Violation::new(Criterion::HeaderFieldsValid, "padding bit set")),
+        datagram,
+        violation: (!compliant).then(|| Violation::new(Rule::ChannelDataTrailing).with_n(trailing.into())),
     }
 }
 

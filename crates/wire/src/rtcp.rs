@@ -364,19 +364,50 @@ pub struct Sdes {
     pub chunks: Vec<SdesChunk>,
 }
 
+/// One step of an SDES walk ([`Sdes::walk`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SdesEntry<'a> {
+    /// A chunk starts; its items follow.
+    Chunk {
+        /// The SSRC/CSRC the chunk's items describe.
+        ssrc: u32,
+    },
+    /// One item of the current chunk.
+    Item {
+        /// The item type.
+        kind: u8,
+        /// The item value, borrowed from the packet.
+        value: &'a [u8],
+    },
+}
+
 impl Sdes {
     /// Parse an SDES packet body.
     pub fn parse(packet: &Packet<'_>) -> Result<Sdes> {
+        let mut chunks: Vec<SdesChunk> = Vec::new();
+        Sdes::walk(packet, |entry| match entry {
+            SdesEntry::Chunk { ssrc } => chunks.push(SdesChunk { ssrc, items: Vec::new() }),
+            SdesEntry::Item { kind, value } => {
+                if let Some(chunk) = chunks.last_mut() {
+                    chunk.items.push((kind, value.to_vec()));
+                }
+            }
+        })?;
+        Ok(Sdes { chunks })
+    }
+
+    /// Walk an SDES packet's chunks and items in order without copying.
+    /// Entries before a malformed field have been visited when the error
+    /// returns.
+    pub fn walk<'a>(packet: &Packet<'a>, mut visit: impl FnMut(SdesEntry<'a>)) -> Result<()> {
         if packet.packet_type() != packet_type::SDES {
             return Err(WireError::malformed(P, 1, "not an sdes"));
         }
         let b = packet.body();
-        let mut chunks = Vec::new();
         let mut o = 0;
         for _ in 0..packet.count() {
-            let ssrc = field::u32_at(P, b, o)?;
+            visit(SdesEntry::Chunk { ssrc: field::u32_at(P, b, o)? });
             o += 4;
-            let mut items = Vec::new();
             loop {
                 let t = field::u8_at(P, b, o)?;
                 if t == 0 {
@@ -386,12 +417,11 @@ impl Sdes {
                     break;
                 }
                 let len = field::u8_at(P, b, o + 1)? as usize;
-                items.push((t, field::slice_at(P, b, o + 2, len)?.to_vec()));
+                visit(SdesEntry::Item { kind: t, value: field::slice_at(P, b, o + 2, len)? });
                 o += 2 + len;
             }
-            chunks.push(SdesChunk { ssrc, items });
         }
-        Ok(Sdes { chunks })
+        Ok(())
     }
 
     /// Serialize as a complete RTCP packet.

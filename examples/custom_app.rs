@@ -88,7 +88,7 @@ fn main() {
     );
     for m in &checked.messages {
         if let Some(v) = &m.violation {
-            println!("unexpected violation on {} {}: {}", m.protocol, m.type_key, v.detail);
+            println!("unexpected violation on {} {}: {v}", m.protocol, m.type_key);
         }
     }
     assert!(checked.volume_compliance() > 0.999, "a strict app must be fully compliant");

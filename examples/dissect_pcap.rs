@@ -60,15 +60,9 @@ fn main() {
     println!("  fully proprietary datagrams: {fully}");
 
     let checked = rtc_core::compliance::check_call(&dissection);
-    let mut by_type: std::collections::BTreeMap<_, (usize, usize)> = Default::default();
-    for m in &checked.messages {
-        let e = by_type.entry((m.protocol, m.type_key)).or_insert((0, 0));
-        e.1 += 1;
-        e.0 += m.is_compliant() as usize;
-    }
     println!("\nper-type compliance:");
-    for ((p, t), (ok, total)) in by_type {
-        println!("  {p} type {t}: {ok}/{total} compliant instances");
+    for ((p, t), n) in checked.type_counts() {
+        println!("  {p} type {t}: {}/{} compliant instances", n.compliant, n.messages);
     }
     for f in rtc_core::compliance::findings::detect_call(&dissection) {
         println!("finding: {}", f.detail);

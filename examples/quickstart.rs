@@ -43,11 +43,10 @@ fn main() {
         if let Some(v) = &m.violation {
             if shown.insert((m.protocol, m.type_key)) {
                 println!(
-                    "  non-compliant {} type {} (criterion {}): {}",
+                    "  non-compliant {} type {} (criterion {}): {v}",
                     m.protocol,
                     m.type_key,
-                    v.criterion.index(),
-                    v.detail
+                    v.criterion().index(),
                 );
             }
         }

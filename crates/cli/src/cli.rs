@@ -754,17 +754,13 @@ pub fn execute(command: Command, out: &mut dyn std::io::Write) -> std::io::Resul
             writeln!(out, "{}: {} decodable packets", path.display(), datagrams.len())?;
             let mut config = StudyConfig::smoke(0);
             config.dpi.threads = threads;
-            // Both arms borrow from their backing store — the filter result
-            // or the decoded trace — so no datagram is cloned here.
-            let filtered;
-            let rtc_udp: Vec<&rtc_core::pcap::trace::Datagram> = match window {
+            let rtc_udp = match window {
                 Some((a, b)) => {
                     let w = (rtc_core::pcap::Timestamp::from_secs(a), rtc_core::pcap::Timestamp::from_secs(b));
-                    filtered = rtc_core::filter::run(&datagrams, w, &config.filter);
-                    filtered.rtc_udp_datagrams()
+                    rtc_core::filter::run(&datagrams, w, &config.filter).accepted_udp
                 }
                 None => datagrams
-                    .iter()
+                    .into_iter()
                     .filter(|d| d.five_tuple.transport == rtc_core::wire::ip::Transport::Udp)
                     .collect(),
             };

@@ -20,7 +20,7 @@ fn dg(ts_us: u64, src: &str, dst: &str, transport: Transport, payload: &[u8]) ->
     }
 }
 
-/// Bug: `FilterResult::rtc_udp_datagrams` flattened streams in BTreeMap
+/// Bug: the filter's RTC UDP output flattened streams in BTreeMap
 /// (5-tuple) order, so downstream DPI saw all of one stream before any of
 /// another even when their datagrams interleaved in capture time.
 #[test]
@@ -32,8 +32,7 @@ fn regression_interleaved_streams_merge_by_capture_time() {
         dg(102_000_000, "10.0.0.9:700", "1.2.3.4:200", Transport::Udp, b"third"),
     ];
     let r = rtc_filter::run(&d, WINDOW, &FilterConfig::default());
-    let merged = r.rtc_udp_datagrams();
-    let order: Vec<&[u8]> = merged.iter().map(|d| d.payload.as_ref()).collect();
+    let order: Vec<&[u8]> = r.accepted_udp.iter().map(|d| d.payload.as_ref()).collect();
     assert_eq!(order, vec![&b"first"[..], b"second", b"third"]);
 }
 
@@ -51,15 +50,15 @@ fn regression_window_boundary_is_closed_on_both_edges() {
         dg(hi, "174.192.14.21:100", "1.2.3.4:200", Transport::Udp, b"x"),
     ];
     let r = rtc_filter::run(&edge, WINDOW, &FilterConfig::default());
-    assert_eq!(r.rtc_streams.len(), 1, "exact-boundary datagrams are in-window");
-    assert!(r.stage2_removed.is_empty(), "and are not out-of-window observations either");
+    assert_eq!(r.rtc.udp_streams, 1, "exact-boundary datagrams are in-window");
+    assert!(r.stage2_heuristics.is_empty(), "and are not out-of-window observations either");
 
     let past = vec![
         dg(lo - 1, "174.192.14.21:100", "1.2.3.4:200", Transport::Udp, b"x"),
         dg(hi + 1, "174.192.14.21:100", "1.2.3.4:200", Transport::Udp, b"x"),
     ];
     let r = rtc_filter::run(&past, WINDOW, &FilterConfig::default());
-    assert!(r.rtc_streams.is_empty(), "1 µs past either edge is out-of-window");
+    assert_eq!(r.rtc.udp_streams, 0, "1 µs past either edge is out-of-window");
 }
 
 /// Bug: `stream_sni` (and blocklist derivation) only tried each TCP
@@ -75,8 +74,8 @@ fn regression_split_client_hello_reassembled_before_sni_match() {
             dg(100_050_000, "10.0.0.1:400", "1.2.3.4:443", Transport::Tcp, b),
         ];
         let r = rtc_filter::run(&d, WINDOW, &FilterConfig::default());
-        assert!(r.rtc_streams.is_empty(), "split at {split}: blocklisted SNI must be filtered");
-        assert_eq!(r.stage2_removed[0].1, rtc_filter::Heuristic::TlsSni, "split at {split}");
+        assert_eq!(r.rtc.tcp_streams, 0, "split at {split}: blocklisted SNI must be filtered");
+        assert_eq!(r.stage2_heuristics.get(&rtc_filter::Heuristic::TlsSni), Some(&1), "split at {split}");
         assert_eq!(rtc_filter::derive_sni_blocklist(&d).len(), 1, "split at {split}");
     }
 }

@@ -198,10 +198,9 @@ pub struct CallSession {
     meta: CallMeta,
     obs: MetricsRegistry,
     dpi: DpiConfig,
-    /// The online two-stage filter in [`Retention::AcceptedUdp`] mode:
-    /// nothing leaves it before `finish` (stream classification is a
-    /// whole-call decision), but doomed streams release their payloads as
-    /// soon as their fate is sealed.
+    /// The online two-stage filter: nothing leaves it before `finish`
+    /// (stream classification is a whole-call decision), but doomed
+    /// streams release their payloads as soon as their fate is sealed.
     filter: OnlineFilter,
     /// Link-layer bytes seen (the capture's `total_bytes`).
     raw_bytes: usize,
@@ -278,7 +277,7 @@ impl CallSession {
         let call_span = self.obs.span("call");
 
         // Filter classifies every stream and releases the accepted RTC UDP
-        // datagrams (in batch `rtc_udp_datagrams` order).
+        // datagrams, merged in capture-time order.
         let (outcome, accepted) = {
             let _s = self.obs.span("filter");
             let t = Instant::now();

@@ -22,8 +22,7 @@ fn facetime_relay_judgment_allocates_only_its_output() {
     let config = StudyConfig::smoke(1);
     let cap = rtc_core::capture::run_call(&config.experiment, Application::FaceTime, NetworkConfig::WifiRelay, 0);
     let datagrams = cap.trace.datagrams();
-    let filtered = rtc_core::filter::run(&datagrams, cap.manifest.call_window(), &config.filter);
-    let accepted = filtered.rtc_udp_datagrams();
+    let accepted = rtc_core::filter::run(&datagrams, cap.manifest.call_window(), &config.filter).accepted_udp;
     let dpi = rtc_core::dpi::DpiConfig { threads: 1, ..config.dpi };
     let (dissection, _) = rtc_core::dpi::dissect_call_sampled(&accepted, &dpi, 0);
     let ctx = CallContext::build(&dissection);

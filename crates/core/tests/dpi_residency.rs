@@ -21,8 +21,7 @@ fn facetime_relay_dissection_peak_stays_near_its_payload() {
     let config = StudyConfig::smoke(1);
     let cap = rtc_core::capture::run_call(&config.experiment, Application::FaceTime, NetworkConfig::WifiRelay, 0);
     let datagrams = cap.trace.datagrams();
-    let filtered = rtc_core::filter::run(&datagrams, cap.manifest.call_window(), &config.filter);
-    let accepted = filtered.rtc_udp_datagrams();
+    let accepted = rtc_core::filter::run(&datagrams, cap.manifest.call_window(), &config.filter).accepted_udp;
     let payload: usize = accepted.iter().map(|d| d.payload.len()).sum();
     assert!(payload > 0);
 

@@ -303,6 +303,7 @@ fn map_chunks<D: Sync, T: Send>(items: &[D], threads: usize, work: impl Fn(usize
 mod tests {
     use super::*;
     use crate::pattern::extract_candidates;
+    use crate::resolve::ContextBuilder;
     use bytes::Bytes;
     use rtc_pcap::Timestamp;
     use rtc_wire::ip::FiveTuple;
@@ -480,7 +481,11 @@ mod tests {
         let datagrams = corpus(4 * CHUNK_DATAGRAMS + 31);
         let serial_cfg = serial();
         let batch = uncut(&datagrams, serial_cfg.max_offset);
-        let ctx = ValidationContext::build(&datagrams, &batch, &serial_cfg);
+        let mut builder = ContextBuilder::new(&serial_cfg);
+        for (d, cands) in datagrams.iter().zip(batch.iter()) {
+            builder.observe(d, cands);
+        }
+        let ctx = builder.finish();
         let (serial, serial_samples) = resolve_all(&datagrams, &batch, &ctx, &serial_cfg, 64);
         assert_eq!(serial_samples.len(), datagrams.len().div_ceil(64));
         for threads in [2usize, 3, 8] {

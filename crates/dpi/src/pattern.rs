@@ -163,15 +163,9 @@ pub enum CandidateKind {
 
 impl CandidateKind {
     /// Stable labels of the five protocol matchers, in extraction order
-    /// (the label vocabulary of [`CandidateKind::matcher_label`]).
+    /// (indexed by [`CandidateKind::matcher_index`]; used as metrics label
+    /// values).
     pub const MATCHER_LABELS: [&'static str; 5] = ["stun", "channeldata", "rtp", "rtcp", "quic"];
-
-    /// Which of the five matchers produced this candidate, as a stable
-    /// label (used as a metrics label value). Both QUIC header forms come
-    /// from the one QUIC matcher.
-    pub fn matcher_label(&self) -> &'static str {
-        Self::MATCHER_LABELS[self.matcher_index()]
-    }
 
     /// Index of the producing matcher into [`CandidateKind::MATCHER_LABELS`].
     pub const fn matcher_index(&self) -> usize {

@@ -1,11 +1,10 @@
 //! Validation and overlap resolution — step 2 of Algorithm 1 plus the
 //! proprietary-header classification of §4.1.2.
 
-use crate::pattern::{stun_data_range, Candidate, CandidateBatch, CandidateKind, CidBuf};
+use crate::pattern::{stun_data_range, Candidate, CandidateKind, CidBuf};
 use crate::{DatagramClass, DatagramDissection, DpiConfig, DpiMessage, Protocol};
 use rtc_pcap::trace::Datagram;
 use rtc_wire::ip::FiveTuple;
-use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
@@ -67,24 +66,6 @@ fn sorted_contains<T: Copy + Ord>(s: &[T], x: T) -> bool {
 }
 
 impl ValidationContext {
-    /// Build the context from all candidates of a call (validation is a
-    /// second pass over the whole capture: continuity and consistency are
-    /// stream properties, not per-packet ones).
-    ///
-    /// Thin wrapper over the incremental [`ContextBuilder`] — the batch and
-    /// streaming paths share one validation engine.
-    pub fn build<D: Borrow<Datagram>>(
-        datagrams: &[D],
-        candidates: &CandidateBatch,
-        config: &DpiConfig,
-    ) -> ValidationContext {
-        let mut builder = ContextBuilder::new(config);
-        for (d, cands) in datagrams.iter().zip(candidates.iter()) {
-            builder.observe(d.borrow(), cands);
-        }
-        builder.finish()
-    }
-
     fn slot(&self, stream: &FiveTuple) -> &StreamSlot {
         self.slot_of.get(stream).map_or(&EMPTY_SLOT, |&i| self.stream_slot(i))
     }

@@ -13,7 +13,7 @@ fn dissect(app: Application, network: NetworkConfig, secs: u64, scale: f64) -> r
     let cap = run_call(&config, app, network, 0);
     let datagrams = cap.trace.datagrams();
     let fr = rtc_filter::run(&datagrams, cap.manifest.call_window(), &rtc_filter::FilterConfig::default());
-    dissect_call(&fr.rtc_udp_datagrams(), &DpiConfig::default())
+    dissect_call(&fr.accepted_udp, &DpiConfig::default())
 }
 
 fn class_shares(d: &rtc_dpi::CallDissection) -> (f64, f64, f64) {

@@ -176,7 +176,7 @@ pub fn derive_sni_blocklist(idle_datagrams: &[Datagram]) -> HashSet<String> {
     group_streams(idle_datagrams)
         .iter()
         .filter(|s| s.tuple.transport == Transport::Tcp)
-        .filter_map(stream_sni)
+        .filter_map(|s| segments_sni(&s.datagrams))
         .collect()
 }
 
@@ -213,58 +213,18 @@ pub struct StageStats {
 }
 
 impl StageStats {
-    fn absorb(&mut self, s: &Stream) {
-        match s.tuple.transport {
+    /// Count one stream of `datagrams` datagrams or segments.
+    fn add_stream(&mut self, transport: Transport, datagrams: usize) {
+        match transport {
             Transport::Udp => {
                 self.udp_streams += 1;
-                self.udp_datagrams += s.len();
+                self.udp_datagrams += datagrams;
             }
             Transport::Tcp => {
                 self.tcp_streams += 1;
-                self.tcp_segments += s.len();
+                self.tcp_segments += datagrams;
             }
         }
-    }
-}
-
-/// The full outcome of the pipeline for one call.
-#[derive(Debug, Clone)]
-pub struct FilterResult {
-    /// Streams classified as RTC traffic.
-    pub rtc_streams: Vec<Stream>,
-    /// Streams removed by stage 1 (timespan).
-    pub stage1_removed: Vec<Stream>,
-    /// Streams removed by stage 2, with the triggering heuristic.
-    pub stage2_removed: Vec<(Stream, Heuristic)>,
-    /// Raw traffic statistics before filtering.
-    pub raw: StageStats,
-    /// Stage-1 removal statistics.
-    pub stage1: StageStats,
-    /// Stage-2 removal statistics.
-    pub stage2: StageStats,
-    /// RTC (kept) statistics.
-    pub rtc: StageStats,
-}
-
-impl FilterResult {
-    /// The kept RTC UDP datagrams in global capture-time order (the input
-    /// to the DPI stage — the paper analyzes UDP only, §3.3). Streams are
-    /// merged by timestamp: the grouping into per-tuple streams must not
-    /// leak into the order downstream timing analyses see.
-    ///
-    /// Returns a borrowed view over the retained streams — callers that
-    /// need ownership clone individual datagrams (cheap: `Bytes` payloads),
-    /// instead of this method cloning every accepted datagram up front.
-    pub fn rtc_udp_datagrams(&self) -> Vec<&Datagram> {
-        let mut out: Vec<&Datagram> = self
-            .rtc_streams
-            .iter()
-            .filter(|s| s.tuple.transport == Transport::Udp)
-            .flat_map(|s| s.datagrams.iter())
-            .collect();
-        // Stable, so same-timestamp datagrams keep stream order.
-        out.sort_by_key(|d| d.ts);
-        out
     }
 }
 
@@ -300,16 +260,14 @@ fn segments_sni(segments: &[Datagram]) -> Option<String> {
     None
 }
 
-fn stream_sni(stream: &Stream) -> Option<String> {
-    segments_sni(&stream.datagrams)
-}
-
 /// What the online filter retains per stream while datagrams arrive.
+///
+/// There is one policy, and no code branches on it. [`OnlineFilter::new`]
+/// still takes it only because rtcperf's per-layer re-drive
+/// (`rtcperf/src/redrive.rs`) names [`Retention::AcceptedUdp`]; the type
+/// and the parameter go when that re-drive is deleted (ROADMAP item 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Retention {
-    /// Keep every datagram: `finish_result` yields the classic
-    /// [`FilterResult`] with full streams. This is the batch wrapper mode.
-    Full,
     /// Keep only what classification needs: UDP payloads until a stream is
     /// provably rejected, and the first few TCP segments for SNI
     /// extraction. Peak memory is O(live candidate streams) instead of
@@ -317,11 +275,13 @@ pub enum Retention {
     AcceptedUdp,
 }
 
-/// Summary outcome of a streaming ([`Retention::AcceptedUdp`]) filter pass.
+/// The outcome of a filter pass.
 #[derive(Debug, Clone)]
 pub struct OnlineOutcome {
-    /// Kept RTC UDP datagrams merged in global capture-time order — exactly
-    /// what `FilterResult::rtc_udp_datagrams()` yields on the batch path.
+    /// Kept RTC UDP datagrams merged in global capture-time order (the
+    /// input to the DPI stage — the paper analyzes UDP only, §3.3). The
+    /// grouping into per-tuple streams does not leak into the order
+    /// downstream timing analyses see.
     pub accepted_udp: Vec<Datagram>,
     /// Raw traffic statistics before filtering.
     pub raw: StageStats,
@@ -338,14 +298,14 @@ pub struct OnlineOutcome {
     pub peak_retained_bytes: usize,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct StreamAcct {
-    first_ts: Option<Timestamp>,
-    last_ts: Option<Timestamp>,
+    first_ts: Timestamp,
+    last_ts: Timestamp,
     count: usize,
     retained: Vec<Datagram>,
-    /// `AcceptedUdp` mode only: retention was abandoned because the stream
-    /// is already provably rejected (accounting continues regardless).
+    /// Retention was abandoned because the stream is already provably
+    /// rejected (accounting continues regardless).
     dropped: bool,
 }
 
@@ -388,59 +348,24 @@ enum StreamClass {
     Rtc,
 }
 
-/// The paper's classification decision for one stream, shared verbatim by
-/// the batch wrapper and the streaming finish so the two can never diverge.
-#[allow(clippy::too_many_arguments)]
-fn classify_stream(
-    win: Window,
-    config: &FilterConfig,
-    out_of_window_3tuples: &HashSet<ThreeTuple>,
-    precall_ip_pairs: &HashSet<(IpAddr, IpAddr)>,
-    tuple: &FiveTuple,
-    first_ts: Option<Timestamp>,
-    last_ts: Option<Timestamp>,
-    head: &[Datagram],
-) -> StreamClass {
-    // Stage 1: timespan alignment. An empty stream (no timestamps at all)
-    // carries nothing worth keeping and is counted as removed.
-    let enclosed = match (first_ts, last_ts) {
-        (Some(first), Some(last)) => win.encloses(first, last),
-        _ => false,
-    };
-    if !enclosed {
-        return StreamClass::Stage1;
-    }
-    // Stage 2: intra-call heuristics, applied in the paper's order.
-    if out_of_window_3tuples.contains(&tuple.dst_three_tuple()) {
-        StreamClass::Stage2(Heuristic::ThreeTupleTiming)
-    } else if tuple.transport == Transport::Tcp
-        && segments_sni(head).is_some_and(|sni| config.sni_blocklist.contains(&sni))
-    {
-        StreamClass::Stage2(Heuristic::TlsSni)
-    } else if tuple.touches_local_range() && precall_ip_pairs.contains(&ip_pair(tuple)) {
-        StreamClass::Stage2(Heuristic::LocalIp)
-    } else if config.excluded_ports.contains(&tuple.src.port()) || config.excluded_ports.contains(&tuple.dst.port()) {
-        StreamClass::Stage2(Heuristic::PortExclusion)
-    } else {
-        StreamClass::Rtc
-    }
-}
-
 /// The two-stage pipeline as an online engine: datagrams are pushed as they
 /// arrive, per-stream accounting and the stage-2 observation sets grow
 /// incrementally, and the final classification happens at [`finish`].
 ///
 /// The key to bounded memory is that every retention drop is *monotone*:
 /// a stream's payloads are only discarded once it is provably impossible
-/// for the batch pipeline to classify it as RTC (its first datagram lies
+/// for the final classification to call it RTC (its first datagram lies
 /// outside the window, it touched an out-of-window destination 3-tuple, it
 /// runs on an excluded port, or its local IP pair was seen pre-call).
 /// Doom is decided once, when a stream's first datagram arrives; after
 /// that, the only route to doom is a sweep run by a fresh out-of-window
 /// 3-tuple or pre-call IP pair. Dropping affects retention only — counts
 /// and timestamps keep accumulating — and the final classification is
-/// recomputed from the complete accounting, so the outcome is
-/// bit-identical to the batch run even on unsorted input.
+/// computed from the complete accounting. The outcome therefore equals
+/// that of the batch pipeline the engine replaced (group every stream,
+/// then classify whole streams), even on unsorted input;
+/// `tests/support/reference.rs` keeps that pipeline, and the crate's
+/// tests compare the two.
 ///
 /// [`finish`]: OnlineFilter::finish_streaming
 #[derive(Debug)]
@@ -448,7 +373,6 @@ pub struct OnlineFilter {
     call_start: Timestamp,
     win: Window,
     config: FilterConfig,
-    retention: Retention,
     streams: BTreeMap<FiveTuple, StreamAcct>,
     out_of_window_3tuples: HashSet<ThreeTuple>,
     precall_ip_pairs: HashSet<(IpAddr, IpAddr)>,
@@ -460,14 +384,13 @@ impl OnlineFilter {
     /// Start an online filtering pass for one call.
     ///
     /// `call_window` is the (initiation, termination) pair from the capture
-    /// manifest.
-    pub fn new(call_window: (Timestamp, Timestamp), config: FilterConfig, retention: Retention) -> OnlineFilter {
+    /// manifest. The retention policy has one value; see [`Retention`].
+    pub fn new(call_window: (Timestamp, Timestamp), config: FilterConfig, _retention: Retention) -> OnlineFilter {
         let win = Window::around(call_window, config.slack_us);
         OnlineFilter {
             call_start: call_window.0,
             win,
             config,
-            retention,
             streams: BTreeMap::new(),
             out_of_window_3tuples: HashSet::new(),
             precall_ip_pairs: HashSet::new(),
@@ -515,8 +438,7 @@ impl OnlineFilter {
         let acct = match self.streams.entry(d.five_tuple) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
-                let dropped = self.retention == Retention::AcceptedUdp
-                    && d.five_tuple.transport == Transport::Udp
+                let dropped = d.five_tuple.transport == Transport::Udp
                     && doomed_at_birth(
                         self.win,
                         &self.config,
@@ -524,19 +446,18 @@ impl OnlineFilter {
                         &self.precall_ip_pairs,
                         &d,
                     );
-                e.insert(StreamAcct { first_ts: Some(d.ts), dropped, ..StreamAcct::default() })
+                e.insert(StreamAcct { first_ts: d.ts, last_ts: d.ts, count: 0, retained: Vec::new(), dropped })
             }
         };
-        acct.last_ts = Some(d.ts);
+        acct.last_ts = d.ts;
         acct.count += 1;
 
-        let retain = match (self.retention, d.five_tuple.transport) {
-            (Retention::Full, _) => true,
+        let retain = match d.five_tuple.transport {
             // TCP payloads only ever feed SNI extraction, which scans the
             // first SNI_SCAN_SEGMENTS segments: cap the head, keep it even
             // for doomed streams (stage-2 attribution may still need it).
-            (Retention::AcceptedUdp, Transport::Tcp) => acct.retained.len() < SNI_SCAN_SEGMENTS,
-            (Retention::AcceptedUdp, Transport::Udp) => !acct.dropped,
+            Transport::Tcp => acct.retained.len() < SNI_SCAN_SEGMENTS,
+            Transport::Udp => !acct.dropped,
         };
         if retain {
             self.retained_bytes += d.payload.len();
@@ -548,9 +469,6 @@ impl OnlineFilter {
     /// Drop retained payloads of UDP streams newly doomed by a fresh
     /// observation.
     fn sweep(&mut self, doomed: impl Fn(&FiveTuple) -> bool) {
-        if self.retention != Retention::AcceptedUdp {
-            return;
-        }
         let mut freed = 0;
         for (tuple, acct) in self.streams.iter_mut() {
             if tuple.transport == Transport::Udp && !acct.dropped && doomed(tuple) {
@@ -562,64 +480,35 @@ impl OnlineFilter {
         self.retained_bytes -= freed;
     }
 
-    /// Finish a [`Retention::Full`] pass with the classic [`FilterResult`].
-    ///
-    /// # Panics
-    /// Panics when the filter was built with [`Retention::AcceptedUdp`]
-    /// (full streams were not retained).
-    pub fn finish_result(self) -> FilterResult {
-        assert_eq!(self.retention, Retention::Full, "finish_result requires Retention::Full");
-        let OnlineFilter { win, config, streams, out_of_window_3tuples, precall_ip_pairs, .. } = self;
-
-        let mut raw = StageStats::default();
-        let mut stage1 = StageStats::default();
-        let mut stage2 = StageStats::default();
-        let mut rtc = StageStats::default();
-        let mut stage1_removed = Vec::new();
-        let mut stage2_removed = Vec::new();
-        let mut rtc_streams = Vec::new();
-        for (tuple, acct) in streams {
-            let class = classify_stream(
-                win,
-                &config,
-                &out_of_window_3tuples,
-                &precall_ip_pairs,
-                &tuple,
-                acct.first_ts,
-                acct.last_ts,
-                &acct.retained,
-            );
-            let stream = Stream { tuple, datagrams: acct.retained };
-            raw.absorb(&stream);
-            match class {
-                StreamClass::Stage1 => {
-                    stage1.absorb(&stream);
-                    stage1_removed.push(stream);
-                }
-                StreamClass::Stage2(h) => {
-                    stage2.absorb(&stream);
-                    stage2_removed.push((stream, h));
-                }
-                StreamClass::Rtc => {
-                    rtc.absorb(&stream);
-                    rtc_streams.push(stream);
-                }
-            }
+    /// The paper's classification of one stream, from its complete
+    /// accounting.
+    fn classify(&self, tuple: &FiveTuple, acct: &StreamAcct) -> StreamClass {
+        // Stage 1: timespan alignment.
+        if !self.win.encloses(acct.first_ts, acct.last_ts) {
+            return StreamClass::Stage1;
         }
-        FilterResult { rtc_streams, stage1_removed, stage2_removed, raw, stage1, stage2, rtc }
+        // Stage 2: intra-call heuristics, applied in the paper's order.
+        let excluded = |port: u16| self.config.excluded_ports.contains(&port);
+        if self.out_of_window_3tuples.contains(&tuple.dst_three_tuple()) {
+            StreamClass::Stage2(Heuristic::ThreeTupleTiming)
+        } else if tuple.transport == Transport::Tcp
+            && segments_sni(&acct.retained).is_some_and(|sni| self.config.sni_blocklist.contains(&sni))
+        {
+            StreamClass::Stage2(Heuristic::TlsSni)
+        } else if tuple.touches_local_range() && self.precall_ip_pairs.contains(&ip_pair(tuple)) {
+            StreamClass::Stage2(Heuristic::LocalIp)
+        } else if excluded(tuple.src.port()) || excluded(tuple.dst.port()) {
+            StreamClass::Stage2(Heuristic::PortExclusion)
+        } else {
+            StreamClass::Rtc
+        }
     }
 
-    /// Finish a streaming pass: classify every stream from its accounting
-    /// and emit the accepted RTC UDP datagrams in global capture-time
-    /// order, plus the per-stage statistics.
-    ///
-    /// Works in either retention mode; in [`Retention::AcceptedUdp`] mode
-    /// the peak payload residency was bounded by the live candidate
-    /// streams.
-    pub fn finish_streaming(self) -> OnlineOutcome {
-        let peak_retained_bytes = self.peak_retained_bytes;
-        let OnlineFilter { win, config, streams, out_of_window_3tuples, precall_ip_pairs, .. } = self;
-
+    /// Finish the pass: classify every stream from its accounting and emit
+    /// the accepted RTC UDP datagrams in global capture-time order, plus
+    /// the per-stage statistics. Peak payload residency was bounded by the
+    /// live candidate streams.
+    pub fn finish_streaming(mut self) -> OnlineOutcome {
         let mut raw = StageStats::default();
         let mut stage1 = StageStats::default();
         let mut stage2 = StageStats::default();
@@ -628,19 +517,10 @@ impl OnlineFilter {
         // The RTC UDP streams' retained datagrams, gathered first so the
         // accepted list is allocated at its exact length.
         let mut rtc_udp = Vec::new();
-        for (tuple, acct) in streams {
-            let class = classify_stream(
-                win,
-                &config,
-                &out_of_window_3tuples,
-                &precall_ip_pairs,
-                &tuple,
-                acct.first_ts,
-                acct.last_ts,
-                &acct.retained,
-            );
+        for (tuple, acct) in std::mem::take(&mut self.streams) {
+            let class = self.classify(&tuple, &acct);
             // Stats count every datagram the stream saw, not just what was
-            // retained — `absorb` must not read `datagrams.len()` here.
+            // retained.
             let stats = match class {
                 StreamClass::Stage1 => &mut stage1,
                 StreamClass::Stage2(h) => {
@@ -649,20 +529,8 @@ impl OnlineFilter {
                 }
                 StreamClass::Rtc => &mut rtc,
             };
-            match tuple.transport {
-                Transport::Udp => {
-                    raw.udp_streams += 1;
-                    raw.udp_datagrams += acct.count;
-                    stats.udp_streams += 1;
-                    stats.udp_datagrams += acct.count;
-                }
-                Transport::Tcp => {
-                    raw.tcp_streams += 1;
-                    raw.tcp_segments += acct.count;
-                    stats.tcp_streams += 1;
-                    stats.tcp_segments += acct.count;
-                }
-            }
+            raw.add_stream(tuple.transport, acct.count);
+            stats.add_stream(tuple.transport, acct.count);
             if matches!(class, StreamClass::Rtc) && tuple.transport == Transport::Udp {
                 debug_assert!(!acct.dropped, "an RTC-classified stream must never have been dropped");
                 rtc_udp.push(acct.retained);
@@ -673,32 +541,47 @@ impl OnlineFilter {
             accepted_udp.extend(retained);
         }
         // Streams flatten in BTreeMap (tuple) order; the stable sort merges
-        // them by capture time exactly like `rtc_udp_datagrams()`.
+        // them by capture time, so same-timestamp datagrams keep that order.
         accepted_udp.sort_by_key(|d| d.ts);
-        OnlineOutcome { accepted_udp, raw, stage1, stage2, rtc, stage2_heuristics, peak_retained_bytes }
+        OnlineOutcome {
+            accepted_udp,
+            raw,
+            stage1,
+            stage2,
+            rtc,
+            stage2_heuristics,
+            peak_retained_bytes: self.peak_retained_bytes,
+        }
     }
 }
 
-/// Run the full two-stage pipeline over one call's decoded datagrams.
+/// Run the two-stage pipeline over one call's decoded datagrams: push them
+/// all into an [`OnlineFilter`] and finish it.
 ///
 /// `call_window` is the (initiation, termination) pair from the capture
 /// manifest; datagrams outside the capture (there are none in practice)
 /// still participate in the out-of-window observations the stage-2
 /// 3-tuple filter needs.
-///
-/// This is a thin wrapper over [`OnlineFilter`] in [`Retention::Full`]
-/// mode — the batch and streaming paths share one classification engine.
-pub fn run(datagrams: &[Datagram], call_window: (Timestamp, Timestamp), config: &FilterConfig) -> FilterResult {
-    let mut filter = OnlineFilter::new(call_window, config.clone(), Retention::Full);
+pub fn run(datagrams: &[Datagram], call_window: (Timestamp, Timestamp), config: &FilterConfig) -> OnlineOutcome {
+    let mut filter = OnlineFilter::new(call_window, config.clone(), Retention::AcceptedUdp);
     for d in datagrams {
         filter.push(d.clone());
     }
-    filter.finish_result()
+    filter.finish_streaming()
 }
+
+// The batch pipeline the online engine replaced, shared with the
+// integration tests; it names this crate `rtc_filter` as they do.
+#[cfg(test)]
+extern crate self as rtc_filter;
+#[cfg(test)]
+#[path = "../tests/support/reference.rs"]
+mod reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{assert_matches_reference, run_reference};
     use bytes::Bytes;
 
     fn dg(ts_s: u64, src: &str, dst: &str, transport: Transport, payload: &[u8]) -> Datagram {
@@ -710,6 +593,10 @@ mod tests {
     }
 
     const WINDOW: (Timestamp, Timestamp) = (Timestamp::from_secs(60), Timestamp::from_secs(360));
+
+    fn removed_by(h: Heuristic, streams: usize) -> BTreeMap<Heuristic, usize> {
+        BTreeMap::from([(h, streams)])
+    }
 
     #[test]
     fn stream_grouping_by_exact_tuple() {
@@ -737,9 +624,10 @@ mod tests {
             dg(400, "174.192.14.21:102", "1.2.3.4:202", Transport::Udp, b"z"),
         ];
         let r = run(&d, WINDOW, &FilterConfig::default());
-        assert_eq!(r.stage1_removed.len(), 2);
-        assert_eq!(r.rtc_streams.len(), 1);
-        assert_eq!(r.rtc_streams[0].tuple.src.port(), 101);
+        assert_eq!(r.stage1.udp_streams, 2);
+        assert_eq!(r.rtc.udp_streams, 1);
+        assert_eq!(r.accepted_udp.len(), 2);
+        assert!(r.accepted_udp.iter().all(|d| d.five_tuple.src.port() == 101));
     }
 
     #[test]
@@ -749,7 +637,8 @@ mod tests {
             dg(361, "174.192.14.21:100", "1.2.3.4:200", Transport::Udp, b"x"), // 1 s late: ok
         ];
         let r = run(&d, WINDOW, &FilterConfig::default());
-        assert_eq!(r.rtc_streams.len(), 1);
+        assert_eq!(r.rtc.udp_streams, 1);
+        assert_eq!(r.accepted_udp.len(), 2);
     }
 
     #[test]
@@ -762,9 +651,9 @@ mod tests {
             dg(120, "10.0.0.1:333", "17.57.1.1:5223", Transport::Tcp, b"apns"),
         ];
         let r = run(&d, WINDOW, &FilterConfig::default());
-        assert!(r.rtc_streams.is_empty());
-        assert_eq!(r.stage2_removed.len(), 1);
-        assert_eq!(r.stage2_removed[0].1, Heuristic::ThreeTupleTiming);
+        assert_eq!(r.rtc, StageStats::default());
+        assert_eq!(r.stage2_heuristics, removed_by(Heuristic::ThreeTupleTiming, 1));
+        assert_eq!(r.stage2.tcp_segments, 2);
     }
 
     #[test]
@@ -776,9 +665,8 @@ mod tests {
             dg(101, "10.0.0.1:401", "1.2.3.5:443", Transport::Tcp, &ok_hello),
         ];
         let r = run(&d, WINDOW, &FilterConfig::default());
-        assert_eq!(r.rtc_streams.len(), 1);
-        assert_eq!(r.rtc_streams[0].tuple.src.port(), 401);
-        assert_eq!(r.stage2_removed[0].1, Heuristic::TlsSni);
+        assert_eq!(r.rtc.tcp_streams, 1);
+        assert_eq!(r.stage2_heuristics, removed_by(Heuristic::TlsSni, 1));
     }
 
     #[test]
@@ -796,7 +684,7 @@ mod tests {
         // The pre-call LAN datagram stream is stage-1 removed (starts early);
         // the in-window LAN stream shares its 3-tuple... use distinct ports to
         // isolate the local-ip heuristic:
-        let kept: Vec<_> = r.rtc_streams.iter().map(|s| s.tuple.src.port()).collect();
+        let kept: Vec<_> = r.accepted_udp.iter().map(|d| d.five_tuple.src.port()).collect();
         assert!(kept.contains(&50000), "p2p media survives: {kept:?}");
         assert!(!kept.contains(&49300));
     }
@@ -809,10 +697,10 @@ mod tests {
             dg(100, "10.0.0.1:501", "1.2.3.4:3478", Transport::Udp, b"stun"),
         ];
         let r = run(&d, WINDOW, &FilterConfig::default());
-        assert_eq!(r.rtc_streams.len(), 1);
-        assert_eq!(r.rtc_streams[0].tuple.dst.port(), 3478);
-        let heuristics: Vec<_> = r.stage2_removed.iter().map(|(_, h)| *h).collect();
-        assert_eq!(heuristics, vec![Heuristic::PortExclusion; 2]);
+        assert_eq!(r.rtc.udp_streams, 1);
+        assert_eq!(r.accepted_udp.len(), 1);
+        assert_eq!(r.accepted_udp[0].five_tuple.dst.port(), 3478);
+        assert_eq!(r.stage2_heuristics, removed_by(Heuristic::PortExclusion, 2));
     }
 
     #[test]
@@ -828,7 +716,7 @@ mod tests {
         assert_eq!(r.raw.tcp_streams, 1);
         assert_eq!(r.raw.udp_datagrams, r.stage1.udp_datagrams + r.stage2.udp_datagrams + r.rtc.udp_datagrams);
         assert_eq!(r.raw.tcp_segments, r.stage1.tcp_segments + r.stage2.tcp_segments + r.rtc.tcp_segments);
-        assert_eq!(r.rtc_udp_datagrams().len(), r.rtc.udp_datagrams);
+        assert_eq!(r.accepted_udp.len(), r.rtc.udp_datagrams);
     }
 
     #[test]
@@ -856,8 +744,8 @@ mod tests {
         let cfg = FilterConfig::with_derived_blocklist(&idle);
         let d = vec![hello("tracker.example.com", 500), hello("media.rtc.example", 501)];
         let r = run(&d, WINDOW, &cfg);
-        assert_eq!(r.rtc_streams.len(), 1);
-        assert_eq!(r.rtc_streams[0].tuple.src.port(), 501);
+        assert_eq!(r.rtc.tcp_streams, 1);
+        assert_eq!(r.stage2_heuristics, removed_by(Heuristic::TlsSni, 1));
     }
 
     fn dg_us(ts_us: u64, src: &str, dst: &str, transport: Transport, payload: &[u8]) -> Datagram {
@@ -896,8 +784,8 @@ mod tests {
             dg_us(hi_us, "174.192.14.21:100", "1.2.3.4:200", Transport::Udp, b"x"),
         ];
         let r = run(&at_edges, WINDOW, &FilterConfig::default());
-        assert_eq!(r.rtc_streams.len(), 1, "boundary datagrams are inside the closed window");
-        assert!(r.stage2_removed.is_empty());
+        assert_eq!(r.rtc.udp_streams, 1, "boundary datagrams are inside the closed window");
+        assert_eq!(r.stage2, StageStats::default());
 
         for (early, late) in [(lo_us - 1, hi_us), (lo_us, hi_us + 1)] {
             let past_edge = vec![
@@ -905,13 +793,13 @@ mod tests {
                 dg_us(late, "174.192.14.21:100", "1.2.3.4:200", Transport::Udp, b"x"),
             ];
             let r = run(&past_edge, WINDOW, &FilterConfig::default());
-            assert!(r.rtc_streams.is_empty(), "1 µs beyond the window is outside");
-            assert_eq!(r.stage1_removed.len(), 1);
+            assert!(r.accepted_udp.is_empty(), "1 µs beyond the window is outside");
+            assert_eq!(r.stage1.udp_streams, 1);
         }
     }
 
     #[test]
-    fn rtc_udp_datagrams_merge_interleaved_streams_by_time() {
+    fn accepted_udp_merges_interleaved_streams_by_time() {
         // Regression: flattening per-stream in BTreeMap (tuple) order used
         // to emit all of stream A before all of stream B even when their
         // datagrams interleaved in capture time.
@@ -922,8 +810,8 @@ mod tests {
             dg_us(103_000_000, "10.0.0.1:600", "1.2.3.4:200", Transport::Udp, b"a1"),
         ];
         let r = run(&d, WINDOW, &FilterConfig::default());
-        assert_eq!(r.rtc_streams.len(), 2);
-        let merged = r.rtc_udp_datagrams();
+        assert_eq!(r.rtc.udp_streams, 2);
+        let merged = &r.accepted_udp;
         let order: Vec<&[u8]> = merged.iter().map(|d| d.payload.as_ref()).collect();
         assert_eq!(order, vec![&b"b0"[..], b"a0", b"b1", b"a1"], "global capture-time order");
         let mut ts: Vec<_> = merged.iter().map(|d| d.ts).collect();
@@ -950,9 +838,8 @@ mod tests {
             dg_us(100_100_000, "10.0.0.1:400", "1.2.3.4:443", Transport::Tcp, seg2),
         ];
         let r = run(&d, WINDOW, &FilterConfig::default());
-        assert!(r.rtc_streams.is_empty(), "split hello still matches the blocklist");
-        assert_eq!(r.stage2_removed.len(), 1);
-        assert_eq!(r.stage2_removed[0].1, Heuristic::TlsSni);
+        assert_eq!(r.rtc, StageStats::default(), "split hello still matches the blocklist");
+        assert_eq!(r.stage2_heuristics, removed_by(Heuristic::TlsSni, 1));
 
         // The same split hello feeds blocklist derivation.
         let idle_hello = rtc_wire::tls::build_client_hello(Some("tracker.example.com"), [2; 32]);
@@ -986,113 +873,8 @@ mod tests {
     #[test]
     fn empty_input() {
         let r = run(&[], WINDOW, &FilterConfig::default());
-        assert!(r.rtc_streams.is_empty());
+        assert!(r.accepted_udp.is_empty());
         assert_eq!(r.raw, StageStats::default());
-    }
-
-    /// The pre-refactor batch implementation, retained verbatim as the
-    /// reference the online engine is differentially tested against.
-    fn run_reference(
-        datagrams: &[Datagram],
-        call_window: (Timestamp, Timestamp),
-        config: &FilterConfig,
-    ) -> FilterResult {
-        let (call_start, _call_end) = call_window;
-        let win = Window::around(call_window, config.slack_us);
-
-        let mut out_of_window_3tuples: HashSet<ThreeTuple> = HashSet::new();
-        let mut precall_ip_pairs: HashSet<(IpAddr, IpAddr)> = HashSet::new();
-        for d in datagrams {
-            if !win.contains(d.ts) {
-                out_of_window_3tuples.insert(d.five_tuple.dst_three_tuple());
-            }
-            if d.ts < call_start {
-                let (a, b) = (d.five_tuple.src.ip(), d.five_tuple.dst.ip());
-                precall_ip_pairs.insert(if a <= b { (a, b) } else { (b, a) });
-            }
-        }
-
-        let streams = group_streams(datagrams);
-        let mut raw = StageStats::default();
-        for s in &streams {
-            raw.absorb(s);
-        }
-
-        let mut stage1_removed = Vec::new();
-        let mut survivors = Vec::new();
-        for s in streams {
-            let enclosed = match (s.first_ts(), s.last_ts()) {
-                (Some(first), Some(last)) => win.encloses(first, last),
-                _ => false,
-            };
-            if enclosed {
-                survivors.push(s);
-            } else {
-                stage1_removed.push(s);
-            }
-        }
-
-        let mut stage2_removed = Vec::new();
-        let mut rtc_streams = Vec::new();
-        for s in survivors {
-            let heuristic = if out_of_window_3tuples.contains(&s.tuple.dst_three_tuple()) {
-                Some(Heuristic::ThreeTupleTiming)
-            } else if s.tuple.transport == Transport::Tcp
-                && stream_sni(&s).is_some_and(|sni| config.sni_blocklist.contains(&sni))
-            {
-                Some(Heuristic::TlsSni)
-            } else if s.tuple.touches_local_range() && {
-                let (a, b) = (s.tuple.src.ip(), s.tuple.dst.ip());
-                let pair = if a <= b { (a, b) } else { (b, a) };
-                precall_ip_pairs.contains(&pair)
-            } {
-                Some(Heuristic::LocalIp)
-            } else if config.excluded_ports.contains(&s.tuple.src.port())
-                || config.excluded_ports.contains(&s.tuple.dst.port())
-            {
-                Some(Heuristic::PortExclusion)
-            } else {
-                None
-            };
-            match heuristic {
-                Some(h) => stage2_removed.push((s, h)),
-                None => rtc_streams.push(s),
-            }
-        }
-
-        let mut stage1 = StageStats::default();
-        for s in &stage1_removed {
-            stage1.absorb(s);
-        }
-        let mut stage2 = StageStats::default();
-        for (s, _) in &stage2_removed {
-            stage2.absorb(s);
-        }
-        let mut rtc = StageStats::default();
-        for s in &rtc_streams {
-            rtc.absorb(s);
-        }
-
-        FilterResult { rtc_streams, stage1_removed, stage2_removed, raw, stage1, stage2, rtc }
-    }
-
-    fn assert_results_equal(a: &FilterResult, b: &FilterResult) {
-        let streams_eq = |x: &[Stream], y: &[Stream]| {
-            assert_eq!(x.len(), y.len());
-            for (s, t) in x.iter().zip(y) {
-                assert_eq!(s.tuple, t.tuple);
-                assert_eq!(s.datagrams, t.datagrams);
-            }
-        };
-        streams_eq(&a.rtc_streams, &b.rtc_streams);
-        streams_eq(&a.stage1_removed, &b.stage1_removed);
-        assert_eq!(a.stage2_removed.len(), b.stage2_removed.len());
-        for ((s, h), (t, k)) in a.stage2_removed.iter().zip(&b.stage2_removed) {
-            assert_eq!(s.tuple, t.tuple);
-            assert_eq!(s.datagrams, t.datagrams);
-            assert_eq!(h, k);
-        }
-        assert_eq!((a.raw, a.stage1, a.stage2, a.rtc), (b.raw, b.stage1, b.stage2, b.rtc));
     }
 
     mod online {
@@ -1147,41 +929,23 @@ mod tests {
             (0..rng.in_range(0..120)).map(|_| arb_datagram(rng)).collect()
         }
 
-        /// The rewritten `run` (online engine, Full retention) matches
-        /// the retained pre-refactor batch implementation exactly —
-        /// including on unsorted input, where first/last timestamps
-        /// follow push order rather than min/max.
-        #[test]
-        fn full_mode_matches_batch_reference() {
-            check_cases("full_mode_matches_batch_reference", CASES, |rng| {
-                let datagrams = arb_datagrams(rng);
-                let cfg = FilterConfig::default();
-                let reference = run_reference(&datagrams, WINDOW, &cfg);
-                let online = run(&datagrams, WINDOW, &cfg);
-                assert_results_equal(&online, &reference);
-            });
-        }
-
-        /// The bounded-retention streaming mode emits exactly the batch
-        /// pipeline's accepted UDP datagrams and per-stage stats.
+        /// The online engine emits exactly the batch reference's accepted
+        /// UDP datagrams, per-stage stats and stage-2 attribution —
+        /// including on unsorted input, where first/last timestamps follow
+        /// push order rather than min/max.
         #[test]
         fn accepted_udp_mode_matches_batch() {
             check_cases("accepted_udp_mode_matches_batch", CASES, |rng| {
                 let datagrams = arb_datagrams(rng);
                 let cfg = FilterConfig::default();
                 let reference = run_reference(&datagrams, WINDOW, &cfg);
-                let mut f = OnlineFilter::new(WINDOW, cfg, Retention::AcceptedUdp);
-                for d in &datagrams {
-                    f.push(d.clone());
-                }
-                let out = f.finish_streaming();
-                let want: Vec<Datagram> = reference.rtc_udp_datagrams().into_iter().cloned().collect();
-                assert_eq!(out.accepted_udp, want);
-                assert_eq!(out.accepted_udp.capacity(), want.len(), "accepted_udp is allocated at its exact length");
-                assert_eq!(out.raw, reference.raw);
-                assert_eq!(out.stage1, reference.stage1);
-                assert_eq!(out.stage2, reference.stage2);
-                assert_eq!(out.rtc, reference.rtc);
+                let out = run(&datagrams, WINDOW, &cfg);
+                assert_matches_reference(&out, &reference);
+                assert_eq!(
+                    out.accepted_udp.capacity(),
+                    out.accepted_udp.len(),
+                    "accepted_udp is allocated at its exact length"
+                );
             });
         }
 
@@ -1223,9 +987,7 @@ mod tests {
             f.push(d[2].clone());
             assert_eq!(f.retained_bytes(), 64, "swept the newly doomed stream");
             let out = f.finish_streaming();
-            let reference = run(&d, WINDOW, &FilterConfig::default());
-            let want: Vec<Datagram> = reference.rtc_udp_datagrams().into_iter().cloned().collect();
-            assert_eq!(out.accepted_udp, want);
+            assert_matches_reference(&out, &run_reference(&d, WINDOW, &FilterConfig::default()));
             assert_eq!(out.accepted_udp.len(), 1);
             assert_eq!(out.accepted_udp[0].five_tuple.dst.port(), 443);
         }

@@ -1,54 +1,35 @@
-//! Differential tests: the streaming filter ([`OnlineFilter`] in
-//! [`Retention::AcceptedUdp`] mode) must be observationally equivalent to
-//! the batch pipeline ([`rtc_filter::run`]) on every input the study can
-//! produce — same accepted RTC UDP datagrams in the same order, same
-//! per-stage statistics, same stage-2 heuristic attribution — while
-//! retaining strictly less memory. The batch path is itself a thin
-//! wrapper over `Retention::Full`, so these tests pin the only place the
-//! two modes can diverge: the monotone payload-drop ("doomed stream")
-//! logic and its sweeps.
+//! Differential tests: the online filter ([`OnlineFilter`], which
+//! [`rtc_filter::run`] and every production caller drive) must be
+//! observationally equivalent to the batch pipeline it replaced
+//! (`support/reference.rs`) on every input the study can produce — same
+//! accepted RTC UDP datagrams in the same order, same per-stage
+//! statistics, same stage-2 heuristic attribution — while retaining at
+//! most what the batch run holds. These tests pin the only place the two
+//! can diverge: the monotone payload-drop ("doomed stream") logic and its
+//! sweeps.
+
+#[path = "support/reference.rs"]
+mod reference;
 
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
+use reference::{assert_matches_reference, run_reference};
 use rtc_capture::{run_call, ExperimentConfig};
 use rtc_conformance::check_cases;
-use rtc_filter::{run, FilterConfig, Heuristic, OnlineFilter, Retention};
+use rtc_filter::{run, FilterConfig, Heuristic, OnlineFilter, OnlineOutcome, Retention};
 use rtc_netemu::NetworkConfig;
 use rtc_pcap::trace::Datagram;
 use rtc_pcap::Timestamp;
 use rtc_wire::ip::{FiveTuple, Transport};
 
-/// Run both drivers over the same datagrams and assert every observable
-/// output agrees. Returns the streaming peak so callers can make
-/// memory-bound assertions on top.
-fn assert_equivalent(datagrams: &[Datagram], window: (Timestamp, Timestamp), config: &FilterConfig) -> usize {
-    let batch = run(datagrams, window, config);
-
-    let mut online = OnlineFilter::new(window, config.clone(), Retention::AcceptedUdp);
-    for d in datagrams {
-        online.push(d.clone());
-    }
-    let streamed = online.finish_streaming();
-
-    let batch_udp: Vec<Datagram> = batch.rtc_udp_datagrams().into_iter().cloned().collect();
-    assert_eq!(streamed.accepted_udp, batch_udp, "accepted RTC UDP datagrams diverge");
-    assert_eq!(streamed.raw, batch.raw, "raw stats diverge");
-    assert_eq!(streamed.stage1, batch.stage1, "stage-1 stats diverge");
-    assert_eq!(streamed.stage2, batch.stage2, "stage-2 stats diverge");
-    assert_eq!(streamed.rtc, batch.rtc, "rtc stats diverge");
-
-    let mut batch_heuristics: BTreeMap<Heuristic, usize> = BTreeMap::new();
-    for (_, h) in &batch.stage2_removed {
-        *batch_heuristics.entry(*h).or_default() += 1;
-    }
-    assert_eq!(streamed.stage2_heuristics, batch_heuristics, "stage-2 attribution diverges");
-
-    // Streaming retention can never exceed what full retention holds at
-    // the end (= every payload byte pushed).
-    let full_residency: usize = datagrams.iter().map(|d| d.payload.len()).sum();
-    assert!(streamed.peak_retained_bytes <= full_residency);
-    streamed.peak_retained_bytes
+/// Run the online filter over `datagrams` and assert every observable
+/// output agrees with the batch reference. Returns the online outcome so
+/// callers can make memory-bound assertions on top.
+fn assert_equivalent(datagrams: &[Datagram], window: (Timestamp, Timestamp), config: &FilterConfig) -> OnlineOutcome {
+    let streamed = run(datagrams, window, config);
+    assert_matches_reference(&streamed, &run_reference(datagrams, window, config));
+    streamed
 }
 
 #[test]
@@ -63,7 +44,7 @@ fn streaming_matches_batch_on_generated_calls() {
             let capture = run_call(&config, app, network, 0);
             let datagrams = capture.trace.datagrams();
             let window = capture.manifest.call_window();
-            let peak = assert_equivalent(&datagrams, window, &FilterConfig::default());
+            let peak = assert_equivalent(&datagrams, window, &FilterConfig::default()).peak_retained_bytes;
             // Each capture carries background traffic the filter rejects;
             // the streaming mode must have shed at least some of it.
             let total: usize = datagrams.iter().map(|d| d.payload.len()).sum();
@@ -113,19 +94,8 @@ fn streaming_is_insensitive_to_cross_stream_arrival_order() {
     }
     assert_eq!(shuffled.len(), datagrams.len());
 
-    let batch = run(&datagrams, window, &FilterConfig::default());
-    let mut online = OnlineFilter::new(window, FilterConfig::default(), Retention::AcceptedUdp);
-    for d in &shuffled {
-        online.push(d.clone());
-    }
-    let streamed = online.finish_streaming();
-
-    let batch_udp: Vec<Datagram> = batch.rtc_udp_datagrams().into_iter().cloned().collect();
-    assert_eq!(streamed.accepted_udp, batch_udp);
-    assert_eq!(streamed.raw, batch.raw);
-    assert_eq!(streamed.stage1, batch.stage1);
-    assert_eq!(streamed.stage2, batch.stage2);
-    assert_eq!(streamed.rtc, batch.rtc);
+    let streamed = run(&shuffled, window, &FilterConfig::default());
+    assert_matches_reference(&streamed, &run_reference(&datagrams, window, &FilterConfig::default()));
 }
 
 const WINDOW: (Timestamp, Timestamp) = (Timestamp::from_secs(60), Timestamp::from_secs(360));
@@ -151,7 +121,7 @@ fn doomed_streams_never_accumulate_payloads() {
 
     let datagrams =
         vec![dg(10, rebinder, &big), dg(100, same_dst, &big), dg(120, rebinder, &big), dg(130, dns, &big)];
-    let peak = assert_equivalent(&datagrams, WINDOW, &FilterConfig::default());
+    let peak = assert_equivalent(&datagrams, WINDOW, &FilterConfig::default()).peak_retained_bytes;
     assert_eq!(peak, 0, "every stream was doomed on arrival yet bytes were retained");
 }
 
@@ -172,7 +142,7 @@ fn late_observation_sweeps_already_retained_payloads() {
         dg(250, keeper, &[4; 100]),
         dg(400, rebinder, &[5; 50]), // out of window: dooms both 203.0.113.9 streams
     ];
-    let peak = assert_equivalent(&datagrams, WINDOW, &FilterConfig::default());
+    let peak = assert_equivalent(&datagrams, WINDOW, &FilterConfig::default()).peak_retained_bytes;
     assert_eq!(peak, 800, "peak should be the pre-sweep residency");
 
     // After the sweep only the keeper's 200 bytes remain live: the freed
@@ -203,10 +173,10 @@ fn late_precall_pair_sweeps_a_local_stream_born_clean() {
         dg(30, precall, &[4; 50]), // before the call starts: dooms `local`
         dg(250, local, &[5; 300]),
     ];
-    let peak = assert_equivalent(&datagrams, WINDOW, &FilterConfig::default());
-    assert_eq!(peak, 700, "peak should be the pre-sweep residency");
-    let batch = run(&datagrams, WINDOW, &FilterConfig::default());
-    assert!(batch.stage2_removed.iter().any(|(s, h)| s.tuple == local && *h == Heuristic::LocalIp));
+    let out = assert_equivalent(&datagrams, WINDOW, &FilterConfig::default());
+    assert_eq!(out.peak_retained_bytes, 700, "peak should be the pre-sweep residency");
+    assert_eq!(out.stage2_heuristics.get(&Heuristic::LocalIp), Some(&1), "only the local stream is local-ip removed");
+    assert!(out.accepted_udp.iter().all(|d| d.five_tuple != local));
 
     let mut online = OnlineFilter::new(WINDOW, FilterConfig::default(), Retention::AcceptedUdp);
     for d in &datagrams[..3] {
@@ -253,12 +223,8 @@ fn random_captures_classify_identically() {
         // Captures are timestamp-sorted (Trace::push maintains this), and
         // within-stream order is an input invariant of both drivers.
         datagrams.sort_by_key(|d| d.ts);
-        assert_equivalent(&datagrams, WINDOW, &FilterConfig::default());
+        let out = assert_equivalent(&datagrams, WINDOW, &FilterConfig::default());
         // Transport sanity: TCP never reaches the accepted UDP output.
-        let mut online = OnlineFilter::new(WINDOW, FilterConfig::default(), Retention::AcceptedUdp);
-        for d in &datagrams {
-            online.push(d.clone());
-        }
-        assert!(online.finish_streaming().accepted_udp.iter().all(|d| d.five_tuple.transport == Transport::Udp));
+        assert!(out.accepted_udp.iter().all(|d| d.five_tuple.transport == Transport::Udp));
     });
 }

@@ -6,7 +6,7 @@ use rtc_compliance::findings::{Finding, FindingKind};
 use rtc_compliance::{CheckedCall, CheckedMessage, Rule, TypeKey, Violation};
 use rtc_conformance::{vectors, Expect, Parser};
 use rtc_core::capture::ExperimentConfig;
-use rtc_core::filter::FilterConfig;
+use rtc_core::filter::{FilterConfig, StageStats};
 use rtc_core::{CallRecord, FailedCall};
 use rtc_dpi::{DpiConfig, Protocol};
 use rtc_oracle::{differential_one, oracle_decodes};
@@ -351,9 +351,12 @@ fn run_datagram(bytes: &[u8]) -> RunOutcome {
     RunOutcome::Clean
 }
 
-/// Decode a fuzzed capture and run the filter over its datagrams and time
-/// range. Crash oracles: every datagram lands in exactly one filter
-/// bucket, and the DPI input the filter hands on is time-ordered.
+/// Decode a fuzzed capture and run the production filter over its
+/// datagrams and time range. Crash oracles: every stream and datagram
+/// lands in exactly one filter bucket, no datagram of an RTC UDP stream
+/// was dropped (the fuzz profile's debug assertions also arm the filter's
+/// own check of this), and the DPI input the filter hands on is
+/// time-ordered.
 fn run_pcap(bytes: &[u8]) -> RunOutcome {
     let Ok(trace) = rtc_pcap::parse_any(bytes) else {
         return RunOutcome::Clean;
@@ -363,12 +366,17 @@ fn run_pcap(bytes: &[u8]) -> RunOutcome {
         return RunOutcome::Clean;
     };
     let r = rtc_core::filter::run(&datagrams, window, &FilterConfig::default());
-    let kept: usize = r.rtc_streams.iter().map(|s| s.len()).sum();
-    let stage1: usize = r.stage1_removed.iter().map(|s| s.len()).sum();
-    let stage2: usize = r.stage2_removed.iter().map(|(s, _)| s.len()).sum();
-    assert_eq!(kept + stage1 + stage2, datagrams.len(), "every datagram in exactly one filter bucket");
-    let merged = r.rtc_udp_datagrams();
-    assert!(merged.windows(2).all(|w| w[0].ts <= w[1].ts), "rtc_udp_datagrams out of time order");
+    let (s1, s2, rtc) = (r.stage1, r.stage2, r.rtc);
+    let buckets = StageStats {
+        udp_streams: s1.udp_streams + s2.udp_streams + rtc.udp_streams,
+        udp_datagrams: s1.udp_datagrams + s2.udp_datagrams + rtc.udp_datagrams,
+        tcp_streams: s1.tcp_streams + s2.tcp_streams + rtc.tcp_streams,
+        tcp_segments: s1.tcp_segments + s2.tcp_segments + rtc.tcp_segments,
+    };
+    assert_eq!(r.raw, buckets, "every stream and datagram in exactly one filter bucket");
+    assert_eq!(r.raw.udp_datagrams + r.raw.tcp_segments, datagrams.len(), "every datagram counted once");
+    assert_eq!(r.accepted_udp.len(), r.rtc.udp_datagrams, "a datagram of an RTC UDP stream was dropped");
+    assert!(r.accepted_udp.windows(2).all(|w| w[0].ts <= w[1].ts), "accepted_udp out of time order");
     RunOutcome::Clean
 }
 
@@ -412,8 +420,8 @@ mod tests {
         let trace = rtc_pcap::parse_any(&bytes).unwrap();
         let datagrams: Vec<Datagram> = trace.records.iter().filter_map(rtc_pcap::decode_record).collect();
         let r = rtc_core::filter::run(&datagrams, trace.time_range().unwrap(), &FilterConfig::default());
-        assert_eq!(r.rtc_streams.len(), 3, "both UDP streams and the TLS stream are kept");
-        assert_eq!(r.rtc_udp_datagrams().len(), 3);
+        assert_eq!((r.rtc.udp_streams, r.rtc.tcp_streams), (2, 1), "both UDP streams and the TLS stream are kept");
+        assert_eq!(r.accepted_udp.len(), 3);
     }
 
     #[test]

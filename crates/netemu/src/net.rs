@@ -23,15 +23,6 @@ impl NetworkConfig {
     /// All three configurations, in the paper's order.
     pub const ALL: [NetworkConfig; 3] = [NetworkConfig::WifiP2p, NetworkConfig::WifiRelay, NetworkConfig::Cellular];
 
-    /// Whether the router permits direct UDP flows between the peers.
-    ///
-    /// On cellular this returns `true` in the sense that the *network* does
-    /// not forbid P2P; whether a call actually uses P2P is up to the
-    /// application (see the per-app mode matrix in `rtc-apps`).
-    pub fn hole_punching_possible(self) -> bool {
-        !matches!(self, NetworkConfig::WifiRelay)
-    }
-
     /// Short label used in report output.
     pub fn label(self) -> &'static str {
         match self {
@@ -111,13 +102,6 @@ impl PathProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hole_punching_matrix() {
-        assert!(NetworkConfig::WifiP2p.hole_punching_possible());
-        assert!(!NetworkConfig::WifiRelay.hole_punching_possible());
-        assert!(NetworkConfig::Cellular.hole_punching_possible());
-    }
 
     #[test]
     fn labels_are_distinct() {

@@ -233,9 +233,8 @@ pub const DEFAULT_CHUNK_RECORDS: usize = 1024;
 /// without ever materializing the whole [`Trace`] in memory.
 ///
 /// Each chunk is at most `chunk_records` records; peak memory for the read
-/// side is therefore O(chunk), independent of capture size. Use
-/// [`TraceReader::next_record`] for one-at-a-time iteration or
-/// [`TraceReader::next_chunk`] for batch-friendly consumers.
+/// side is therefore O(chunk), independent of capture size; read it with
+/// [`TraceReader::next_chunk`].
 pub struct TraceReader<R: Read> {
     inner: Reader<R>,
     chunk_records: usize,
@@ -254,16 +253,6 @@ impl<R: Read> TraceReader<R> {
     /// The trace's link-layer type.
     pub fn link_type(&self) -> LinkType {
         self.inner.link_type()
-    }
-
-    /// The configured chunk size in records.
-    pub fn chunk_records(&self) -> usize {
-        self.chunk_records
-    }
-
-    /// Read the next record; `Ok(None)` at a clean end of file.
-    pub fn next_record(&mut self) -> Result<Option<Record>> {
-        self.inner.next_record()
     }
 
     /// Read the next bounded batch of records; `Ok(None)` at end of file.
@@ -540,8 +529,11 @@ mod tests {
     #[test]
     fn trace_reader_zero_chunk_uses_default() {
         let bytes = to_bytes(&sample_trace());
-        let tr = TraceReader::new(&bytes[..], 0).unwrap();
-        assert_eq!(tr.chunk_records(), DEFAULT_CHUNK_RECORDS);
+        let mut tr = TraceReader::new(&bytes[..], 0).unwrap();
+        // A chunk size of 0 would yield no chunk at all; the default
+        // returns the whole three-record trace in one.
+        assert_eq!(tr.next_chunk().unwrap().map(|c| c.len()), Some(3));
+        assert!(tr.next_chunk().unwrap().is_none());
     }
 
     #[test]

@@ -76,7 +76,7 @@ fn main() {
         (scenario.call_start, scenario.call_end()),
         &rtc_core::filter::FilterConfig::default(),
     );
-    let dissection = rtc_core::dpi::dissect_call(&fr.rtc_udp_datagrams(), &rtc_core::dpi::DpiConfig::default());
+    let dissection = rtc_core::dpi::dissect_call(&fr.accepted_udp, &rtc_core::dpi::DpiConfig::default());
     let checked = rtc_core::compliance::check_call(&dissection);
 
     let compliant = checked.messages.iter().filter(|m| m.is_compliant()).count();

@@ -40,15 +40,12 @@ fn main() {
     let datagrams = trace.datagrams();
     println!("{}: {} decodable transport packets", path.display(), datagrams.len());
 
-    // Filter if a call window is known; otherwise analyze everything.
-    // Both arms borrow — the DPI takes `Vec<&Datagram>` views directly.
-    let filtered;
-    let rtc_udp: Vec<&rtc_core::pcap::trace::Datagram> = match window {
-        Some(w) => {
-            filtered = rtc_core::filter::run(&datagrams, w, &config.filter);
-            filtered.rtc_udp_datagrams()
+    // Filter if a call window is known; otherwise analyze every UDP datagram.
+    let rtc_udp = match window {
+        Some(w) => rtc_core::filter::run(&datagrams, w, &config.filter).accepted_udp,
+        None => {
+            datagrams.into_iter().filter(|d| d.five_tuple.transport == rtc_core::wire::ip::Transport::Udp).collect()
         }
-        None => datagrams.iter().filter(|d| d.five_tuple.transport == rtc_core::wire::ip::Transport::Udp).collect(),
     };
     println!("analyzing {} RTC UDP datagrams", rtc_udp.len());
 

@@ -46,9 +46,7 @@ fn every_stage2_heuristic_fires_somewhere() {
         let cap = rtc_core::capture::run_call(&config.experiment, Application::WhatsApp, network, 0);
         let datagrams = cap.trace.datagrams();
         let fr = rtc_core::filter::run(&datagrams, cap.manifest.call_window(), &config.filter);
-        for (_, h) in &fr.stage2_removed {
-            seen.insert(*h);
-        }
+        seen.extend(fr.stage2_heuristics.into_keys());
     }
     for h in [Heuristic::ThreeTupleTiming, Heuristic::TlsSni, Heuristic::LocalIp, Heuristic::PortExclusion] {
         assert!(seen.contains(&h), "heuristic {h:?} never fired");
@@ -109,8 +107,7 @@ fn dpi_offset_limit_reproduces_k200_claim() {
     let config = config();
     let cap = rtc_core::capture::run_call(&config.experiment, Application::Zoom, NetworkConfig::WifiRelay, 0);
     let datagrams = cap.trace.datagrams();
-    let fr = rtc_core::filter::run(&datagrams, cap.manifest.call_window(), &config.filter);
-    let rtc_udp = fr.rtc_udp_datagrams();
+    let rtc_udp = rtc_core::filter::run(&datagrams, cap.manifest.call_window(), &config.filter).accepted_udp;
 
     let count = |k: usize| {
         let d =
@@ -140,9 +137,9 @@ fn rtp_group_threshold_rejects_offset_aliasing_phantoms() {
     // count plateaus at the default's with no phantoms.
     let cap = ablation_call(Application::Zoom, NetworkConfig::WifiRelay);
     let datagrams = cap.trace.datagrams();
-    let fr =
-        rtc_core::filter::run(&datagrams, cap.manifest.call_window(), &rtc_core::filter::FilterConfig::default());
-    let rtc_udp = fr.rtc_udp_datagrams();
+    let rtc_udp =
+        rtc_core::filter::run(&datagrams, cap.manifest.call_window(), &rtc_core::filter::FilterConfig::default())
+            .accepted_udp;
     let known = rtc_core::apps::zoom::ZOOM_RTP_PAYLOAD_TYPES;
     let sweep = |min_group: usize| {
         let d = rtc_core::dpi::dissect_call(
@@ -238,8 +235,7 @@ fn noise_cut_matches_the_unpruned_stepwise_path_on_every_smoke_call() {
         for network in config.experiment.network_configs() {
             let cap = rtc_core::capture::run_call(&config.experiment, app, network, 0);
             let datagrams = cap.trace.datagrams();
-            let fr = rtc_core::filter::run(&datagrams, cap.manifest.call_window(), &config.filter);
-            let rtc_udp = fr.rtc_udp_datagrams();
+            let rtc_udp = rtc_core::filter::run(&datagrams, cap.manifest.call_window(), &config.filter).accepted_udp;
             for threads in [1usize, 3] {
                 let dpi = DpiConfig { threads, parallel_threshold: 1, ..config.dpi };
                 let mut batch = CandidateBatch::with_capacity(rtc_udp.len());

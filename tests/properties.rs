@@ -209,15 +209,17 @@ fn filter_partitions_streams() {
         let d = arb_datagrams(rng, 40);
         let window = (Timestamp::from_secs(60), Timestamp::from_secs(360));
         let r = rtc_core::filter::run(&d, window, &rtc_core::filter::FilterConfig::default());
-        let kept: usize = r.rtc_streams.iter().map(|s| s.len()).sum();
-        let s1: usize = r.stage1_removed.iter().map(|s| s.len()).sum();
-        let s2: usize = r.stage2_removed.iter().map(|(s, _)| s.len()).sum();
-        assert_eq!(kept + s1 + s2, d.len(), "every datagram in exactly one bucket");
+        let buckets = [r.stage1, r.stage2, r.rtc];
+        let sum = |field: fn(&rtc_core::filter::StageStats) -> usize| buckets.iter().map(field).sum::<usize>();
+        assert_eq!(r.raw.udp_streams, sum(|s| s.udp_streams), "every UDP stream in exactly one bucket");
+        assert_eq!(r.raw.tcp_streams, sum(|s| s.tcp_streams), "every TCP stream in exactly one bucket");
+        assert_eq!(r.raw.udp_datagrams, sum(|s| s.udp_datagrams));
+        assert_eq!(r.raw.tcp_segments, sum(|s| s.tcp_segments));
+        assert_eq!(r.raw.udp_datagrams + r.raw.tcp_segments, d.len(), "every datagram in exactly one bucket");
+        assert_eq!(r.accepted_udp.len(), r.rtc.udp_datagrams, "every datagram of a kept UDP stream is handed on");
         // Kept streams honor the expanded call window.
-        for s in &r.rtc_streams {
-            assert!(s.first_ts().is_some_and(|t| t >= Timestamp::from_secs(58)));
-            assert!(s.last_ts().is_some_and(|t| t <= Timestamp::from_secs(362)));
-        }
+        let expanded = Timestamp::from_secs(58)..=Timestamp::from_secs(362);
+        assert!(r.accepted_udp.iter().all(|x| expanded.contains(&x.ts)));
     });
 }
 

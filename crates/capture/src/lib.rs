@@ -27,7 +27,8 @@ pub struct ExperimentConfig {
     pub apps: Vec<String>,
     /// Network configurations (paper: all three).
     pub networks: Vec<String>,
-    /// Repeats per (app, network) cell (paper: 6, for 90 calls).
+    /// Repeats per (app, network) cell (here 6, for 6 x 3 x 6 = 108 calls;
+    /// the paper reports about 90).
     pub repeats: usize,
     /// Call duration in seconds (paper: 300).
     pub call_secs: u64,
@@ -58,12 +59,14 @@ impl ExperimentConfig {
         c
     }
 
-    /// Decode the application list.
+    /// Decode the application list, skipping unknown slugs (the CLI
+    /// rejects them before a config is built).
     pub fn applications(&self) -> Vec<Application> {
         self.apps.iter().filter_map(|s| Application::from_slug(s)).collect()
     }
 
-    /// Decode the network list.
+    /// Decode the network list, skipping unknown labels (the CLI rejects
+    /// them before a config is built).
     pub fn network_configs(&self) -> Vec<NetworkConfig> {
         self.networks.iter().filter_map(|s| NetworkConfig::from_label(s)).collect()
     }

@@ -264,8 +264,9 @@ killed campaign continues with `--resume DIR`; finished shards are
 skipped and interrupted ones restart from their last checkpoint. When
 all shards finish, their snapshots merge into one report — byte-identical
 to a single-process batch run of the same plan (`--verify-batch` proves
-it in-process). The `paper` tier is the paper's 90-call matrix; `city`
-is the same matrix at 10x the repeats.
+it in-process). The `paper` tier is the paper's matrix at 6 repeats,
+6 x 3 x 6 = 108 calls (the paper reports about 90); `city` is the same
+matrix at 10x the repeats.
 
 `fuzz` runs the deterministic coverage-guided differential fuzzer over
 the parsing stack, the workspace's one mutation loop: seeds from the
@@ -285,6 +286,17 @@ The process exits nonzero when any call's analysis failed.
 apps:     zoom facetime whatsapp messenger discord meet
 networks: wifi-p2p wifi-relay cellular
 ";
+
+/// Reject the first app slug or network label the study does not know.
+fn check_names(apps: &[String], networks: &[String]) -> Result<(), String> {
+    if let Some(app) = apps.iter().find(|a| rtc_core::apps::Application::from_slug(a).is_none()) {
+        return Err(format!("unknown app '{app}'"));
+    }
+    if let Some(network) = networks.iter().find(|n| rtc_core::netemu::NetworkConfig::from_label(n).is_none()) {
+        return Err(format!("unknown network '{network}'"));
+    }
+    Ok(())
+}
 
 /// Parse a command line (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, String> {
@@ -325,6 +337,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             if !(0.0..=1.0).contains(&scale) || scale <= 0.0 {
                 return Err("--scale must be in (0, 1]".into());
             }
+            check_names(&apps, &networks)?;
             Ok(Command::Run { call_secs, scale, repeats, seed, apps, networks, out, save, metrics })
         }
         "analyze" => {
@@ -366,12 +379,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     other => return Err(format!("unknown flag {other}")),
                 }
             }
-            if rtc_core::apps::Application::from_slug(&app).is_none() {
-                return Err(format!("unknown app '{app}'"));
-            }
-            if rtc_core::netemu::NetworkConfig::from_label(&network).is_none() {
-                return Err(format!("unknown network '{network}'"));
-            }
+            check_names(std::slice::from_ref(&app), std::slice::from_ref(&network))?;
             Ok(Command::Generate { app, network, out, call_secs, seed })
         }
         "dissect" => {
@@ -422,11 +430,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     other => return Err(format!("unknown flag {other}")),
                 }
             }
-            for app in &apps {
-                if rtc_core::apps::Application::from_slug(app).is_none() {
-                    return Err(format!("unknown app '{app}'"));
-                }
-            }
+            check_names(&apps, &[])?;
             if threads == 0 {
                 return Err("--threads must be at least 1".into());
             }
@@ -1073,12 +1077,7 @@ pub fn execute(command: Command, out: &mut dyn std::io::Write) -> std::io::Resul
             report_exit_code(&merged.report, out)
         }
         Command::ScaleShard { dir, shard, record_interval, chunk, oracle_sample } => {
-            let options = rtc_shard::ShardOptions {
-                record_interval,
-                chunk_records: chunk,
-                oracle_sample,
-                stop_after_calls: None,
-            };
+            let options = rtc_shard::ShardOptions { record_interval, chunk_records: chunk, oracle_sample };
             let outcome = rtc_shard::run_shard(&dir, shard, &options)?;
             writeln!(
                 out,
@@ -1297,6 +1296,8 @@ mod tests {
         assert!(parse(&args("run --bogus 1")).is_err());
         assert!(parse(&args("generate nosuchapp wifi-p2p out.pcap")).is_err());
         assert!(parse(&args("generate zoom nosuchnet out.pcap")).is_err());
+        assert_eq!(parse(&args("run --apps zoom,zom")), Err("unknown app 'zom'".to_string()));
+        assert_eq!(parse(&args("run --networks wifi-p2p,wifi")), Err("unknown network 'wifi'".to_string()));
         assert!(parse(&args("frobnicate")).is_err());
     }
 

@@ -76,6 +76,19 @@ fn unknown_command_exits_two_with_usage_on_stderr() {
 }
 
 #[test]
+fn run_rejects_unknown_apps_and_networks() {
+    for (flag, value, message) in
+        [("--apps", "zom", "unknown app 'zom'"), ("--networks", "wifi", "unknown network 'wifi'")]
+    {
+        let out = run(&["run", flag, value, "--secs", "5", "--scale", "0.05", "--repeats", "1"]);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        let err = stderr(&out);
+        assert!(err.contains(message), "{err}");
+        assert!(stdout(&out).is_empty(), "nothing runs: {}", stdout(&out));
+    }
+}
+
+#[test]
 fn run_renders_tables_and_exports_artifacts() {
     let dir = scratch("run");
     let export = dir.join("artifacts");
@@ -315,6 +328,10 @@ fn scale_campaign_merges_verifies_and_survives_kill_resume() {
     let text = stdout(&out);
     assert!(text.contains("resuming paper tier campaign"), "{text}");
     assert!(text.contains("shard 1: already finished, skipping"), "{text}");
+    assert!(
+        text.lines().any(|l| l.starts_with("shard 0: 9/9 call(s)") && l.ends_with(" (resumed)")),
+        "the killed shard must finish from its checkpoint: {text}"
+    );
     assert_eq!(
         std::fs::read_to_string(&ref_report).unwrap(),
         std::fs::read_to_string(&killed_report).unwrap(),

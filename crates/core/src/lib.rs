@@ -138,7 +138,8 @@ pub enum Artifact {
 }
 
 impl Artifact {
-    /// Every artifact, in the paper's order.
+    /// Every artifact, in the paper's order (the order of
+    /// [`rtc_report::ARTIFACTS`], which the discriminants index).
     pub const ALL: [Artifact; 9] = [
         Artifact::Table1,
         Artifact::Table2,
@@ -190,6 +191,22 @@ pub struct StudyReport {
 }
 
 impl StudyReport {
+    /// Seal a study into its report: finish the aggregation, which puts
+    /// the calls in canonical `(app, network, repeat)` order, and order the
+    /// failed calls by index. Every driver builds its report here, so a
+    /// report does not depend on the driver or on the order calls
+    /// completed in.
+    pub fn seal(
+        aggregate: rtc_report::Aggregator,
+        pipeline: pipeline::PipelineStats,
+        mut failures: Vec<FailedCall>,
+        metrics: rtc_obs::Snapshot,
+    ) -> StudyReport {
+        let rtc_report::AggregateReport { data, findings, header_profiles } = aggregate.finish();
+        failures.sort_by_key(|f| f.index);
+        StudyReport { data, findings, header_profiles, failures, pipeline, metrics }
+    }
+
     /// Render one artifact as an aligned text table.
     pub fn render_table(&self, artifact: Artifact) -> String {
         self.table(artifact).to_text()
@@ -202,17 +219,7 @@ impl StudyReport {
 
     /// The artifact's data table.
     pub fn table(&self, artifact: Artifact) -> rtc_report::render::TextTable {
-        match artifact {
-            Artifact::Table1 => rtc_report::tables::table1(&self.data),
-            Artifact::Table2 => rtc_report::tables::table2(&self.data),
-            Artifact::Table3 => rtc_report::tables::table3(&self.data),
-            Artifact::Table4 => rtc_report::tables::table4(&self.data),
-            Artifact::Table5 => rtc_report::tables::table5(&self.data),
-            Artifact::Table6 => rtc_report::tables::table6(&self.data),
-            Artifact::Figure3 => rtc_report::figures::figure3(&self.data),
-            Artifact::Figure4 => rtc_report::figures::figure4(&self.data),
-            Artifact::Figure5 => rtc_report::figures::figure5(&self.data),
-        }
+        rtc_report::ARTIFACTS[artifact as usize](&self.data)
     }
 
     /// Render every table and figure plus the findings section.
@@ -236,12 +243,9 @@ impl StudyReport {
                 }
             }
         }
-        let mut apps: Vec<&str> = self.data.calls.iter().map(|c| c.app.as_str()).collect();
-        apps.sort_unstable();
-        apps.dedup();
         let mut wrote_header = false;
-        for app in apps {
-            let taxonomy = self.data.app_rejection_taxonomy(app);
+        for app in self.data.apps() {
+            let taxonomy = self.data.app_rejection_taxonomy(&app);
             if taxonomy.is_empty() {
                 continue;
             }
@@ -338,7 +342,6 @@ impl Study {
                 failures.extend(failed);
             }
         });
-        failures.sort_by_key(|f| f.index);
 
         // Fold completed calls through the incremental aggregator — the
         // exact state machine the streaming driver uses, so batch and
@@ -353,9 +356,8 @@ impl Study {
             absorb_analysis(&mut aggregate, &mut stats, analysis, &config.obs);
         }
         record_study_totals(&config.obs, analyzed, failures.len() as u64);
-        let rtc_report::AggregateReport { data, findings, header_profiles } = aggregate.finish();
         drop(_study_span);
-        StudyReport { data, findings, header_profiles, failures, pipeline: stats, metrics: config.obs.snapshot() }
+        StudyReport::seal(aggregate, stats, failures, config.obs.snapshot())
     }
 }
 
@@ -493,9 +495,8 @@ impl StreamingStudy {
             });
         }
         record_study_totals(&config.obs, analyzed, failures.len() as u64);
-        let rtc_report::AggregateReport { data, findings, header_profiles } = aggregate.finish();
         drop(_study_span);
-        Ok(StudyReport { data, findings, header_profiles, failures, pipeline: stats, metrics: config.obs.snapshot() })
+        Ok(StudyReport::seal(aggregate, stats, failures, config.obs.snapshot()))
     }
 }
 
@@ -569,6 +570,18 @@ mod tests {
         let all = report.render_all();
         assert!(all.contains("Analysis failures"));
         assert!(all.contains("injected failure"));
+    }
+
+    #[test]
+    fn artifacts_index_their_renderers() {
+        let report = StudyReport::seal(Default::default(), Default::default(), Vec::new(), Default::default());
+        for (i, artifact) in Artifact::ALL.into_iter().enumerate() {
+            assert_eq!(artifact as usize, i);
+            let name = format!("{artifact:?}");
+            let (kind, n) = name.split_at(name.len() - 1);
+            let text = report.render_table(artifact);
+            assert!(text.starts_with(&format!("== {kind} {n}:")), "{artifact:?} rendered {text}");
+        }
     }
 
     #[test]

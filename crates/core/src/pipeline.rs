@@ -265,11 +265,6 @@ impl CallSession {
         self.filter.retained_bytes()
     }
 
-    /// 5-tuple streams currently tracked by the filter.
-    pub fn live_streams(&self) -> usize {
-        self.filter.live_streams()
-    }
-
     /// Run the whole-call analyses and assemble the result. The returned
     /// [`PipelineStats`] covers decode/filter/dpi/compliance; the
     /// aggregate slot is filled by the study driver.

@@ -22,14 +22,21 @@ fn scratch_dir() -> std::path::PathBuf {
     dir
 }
 
-/// Save the configured experiment, then analyze it through both drivers.
+/// Analyze the configured experiment through both drivers: the batch one
+/// over the in-memory captures in generation order (and, checked equal,
+/// reversed), the streaming one over the saved campaign in directory
+/// order. The orders differ, so the reports agree only because sealing
+/// puts the calls in canonical order.
 fn run_both(config: &StudyConfig, chunk_records: usize) -> (StudyReport, StudyReport) {
     let dir = scratch_dir();
-    let captures = rtc_core::capture::run_experiment(&config.experiment);
+    let mut captures = rtc_core::capture::run_experiment(&config.experiment);
     rtc_core::capture::save_experiment(&dir, &captures).unwrap();
-    // The batch driver consumes the same on-disk campaign, loaded whole.
-    let loaded = rtc_core::capture::load_experiment(&dir).unwrap();
-    let batch = Study::analyze(&loaded, config);
+    let batch = Study::analyze(&captures, config);
+    captures.reverse();
+    let reversed = Study::analyze(&captures, config);
+    assert_eq!(reversed.data, batch.data, "reversing the input reordered the report");
+    assert_eq!(reversed.findings, batch.findings);
+    assert_eq!(reversed.header_profiles, batch.header_profiles);
     let streaming = StreamingStudy::analyze_dir(&dir, config, chunk_records, None).unwrap();
     std::fs::remove_dir_all(&dir).ok();
     (batch, streaming)
@@ -131,32 +138,30 @@ fn aggregator_snapshots_converge_to_batch_tables() {
     let batch = Study::analyze(&captures, &config);
 
     let mut aggregate = rtc_core::report::Aggregator::new();
+    let mut absorbed = Vec::new();
     for (i, cap) in captures.iter().enumerate() {
         let analysis = analyze_capture(cap, &config);
+        absorbed.push(rtc_core::CallSummary::from(analysis.record.clone()));
         let summaries: Vec<String> = analysis.header_profiles.iter().map(|p| p.summary()).collect();
         let ssrcs = rtc_core::compliance::findings::ssrc_set(&analysis.dissection);
         aggregate.absorb_call(analysis.record, &analysis.findings, &summaries, ssrcs);
-        // Mid-study snapshots are exactly the batch prefix, and render.
+        // Mid-study snapshots are exactly the absorbed prefix, and render.
         let snapshot = aggregate.snapshot();
-        assert_eq!(snapshot.calls, batch.data.calls[..=i], "snapshot after call {i}");
+        assert_eq!(snapshot.calls, absorbed, "snapshot after call {i}");
         let _ = rtc_core::report::tables::table1(&snapshot).to_text();
     }
+    // The converged snapshot, still in absorption order, reproduces every
+    // batch table verbatim.
+    let snapshot = aggregate.snapshot();
+    assert_ne!(snapshot, batch.data, "generation order is not canonical here");
+    for (artifact, render) in Artifact::ALL.into_iter().zip(rtc_core::report::ARTIFACTS) {
+        assert_eq!(render(&snapshot).to_text(), batch.render_table(artifact), "{artifact:?}");
+    }
+    // Finishing puts the calls in the batch report's canonical order.
     let out = aggregate.finish();
     assert_eq!(out.data, batch.data);
     assert_eq!(out.findings, batch.findings);
     assert_eq!(out.header_profiles, batch.header_profiles);
-    // Converged snapshots reproduce the batch tables verbatim.
-    for artifact in [Artifact::Table1, Artifact::Table3, Artifact::Figure4] {
-        let from_final = StudyReport {
-            data: out.data.clone(),
-            findings: out.findings.clone(),
-            header_profiles: out.header_profiles.clone(),
-            failures: Vec::new(),
-            pipeline: Default::default(),
-            metrics: Default::default(),
-        };
-        assert_eq!(from_final.render_table(artifact), batch.render_table(artifact));
-    }
 }
 
 /// Random seeds, app/network subsets, and chunk sizes: the two drivers

@@ -180,14 +180,6 @@ pub fn derive_sni_blocklist(idle_datagrams: &[Datagram]) -> HashSet<String> {
         .collect()
 }
 
-impl FilterConfig {
-    /// A configuration whose SNI blocklist comes from idle captures instead
-    /// of the built-in inventory.
-    pub fn with_derived_blocklist(idle_datagrams: &[Datagram]) -> FilterConfig {
-        FilterConfig { sni_blocklist: derive_sni_blocklist(idle_datagrams), ..Default::default() }
-    }
-}
-
 impl Default for FilterConfig {
     fn default() -> FilterConfig {
         FilterConfig {
@@ -397,11 +389,6 @@ impl OnlineFilter {
             retained_bytes: 0,
             peak_retained_bytes: 0,
         }
-    }
-
-    /// Number of 5-tuple streams seen so far.
-    pub fn live_streams(&self) -> usize {
-        self.streams.len()
     }
 
     /// Currently retained payload bytes.
@@ -740,8 +727,8 @@ mod tests {
         let list = derive_sni_blocklist(&idle);
         assert_eq!(list.len(), 2);
         assert!(list.contains("tracker.example.com"));
-        // And the derived config actually filters matching in-call flows.
-        let cfg = FilterConfig::with_derived_blocklist(&idle);
+        // And a config with the derived list filters matching in-call flows.
+        let cfg = FilterConfig { sni_blocklist: list, ..Default::default() };
         let d = vec![hello("tracker.example.com", 500), hello("media.rtc.example", 501)];
         let r = run(&d, WINDOW, &cfg);
         assert_eq!(r.rtc.tcp_streams, 1);

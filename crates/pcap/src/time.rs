@@ -31,11 +31,6 @@ impl Timestamp {
         self.0
     }
 
-    /// Whole seconds since the epoch.
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Seconds since the epoch, fractional.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
@@ -83,7 +78,7 @@ mod tests {
     #[test]
     fn conversions() {
         assert_eq!(Timestamp::from_secs(2).as_micros(), 2_000_000);
-        assert_eq!(Timestamp::from_millis(1500).as_secs(), 1);
+        assert_eq!(Timestamp::from_millis(1500).as_micros(), 1_500_000);
         assert_eq!(Timestamp::from_micros(2_500_000).as_secs_f64(), 2.5);
     }
 

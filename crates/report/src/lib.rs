@@ -81,6 +81,20 @@ impl CallRecord {
 
 pub use rtc_compliance::TypeCount;
 
+/// The renderers of the paper's nine artifacts, in the paper's order:
+/// Tables 1–6, then Figures 3–5.
+pub const ARTIFACTS: [fn(&StudyData) -> render::TextTable; 9] = [
+    tables::table1,
+    tables::table2,
+    tables::table3,
+    tables::table4,
+    tables::table5,
+    tables::table6,
+    figures::figure3,
+    figures::figure4,
+    figures::figure5,
+];
+
 /// What the reports keep of one analyzed call: a [`CallRecord`] with its
 /// judged messages folded into per-type [`TypeCount`]s.
 #[derive(Debug, Clone, PartialEq)]
@@ -283,17 +297,6 @@ impl StudyData {
         out
     }
 
-    /// Sort the call summaries into canonical `(app, network, repeat)` order.
-    ///
-    /// Every rendering accessor above is already order-invariant, but the
-    /// raw `calls` vector preserves absorption order — which depends on
-    /// call scheduling when shards or threads race. Canonicalizing makes
-    /// whole-`StudyData` comparisons (and JSON exports of the raw call
-    /// list) byte-deterministic across drivers.
-    pub fn sort_canonical(&mut self) {
-        self.calls.sort_by(|a, b| (&a.app, &a.network, a.repeat).cmp(&(&b.app, &b.network, b.repeat)));
-    }
-
     /// Figure-3 class shares for one application.
     pub fn app_class_shares(&self, app: &str) -> (f64, f64, f64) {
         let mut std_c = 0usize;
@@ -324,7 +327,7 @@ fn volume_ratio(counts: impl Iterator<Item = TypeCount>) -> f64 {
 /// finishes: everything the study report needs beyond the raw data.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AggregateReport {
-    /// All call summaries, in absorption order.
+    /// All call summaries, in canonical `(app, network, repeat)` order.
     pub data: StudyData,
     /// Behavioral findings per application, deduplicated by kind.
     pub findings: BTreeMap<String, Vec<rtc_compliance::findings::Finding>>,
@@ -391,29 +394,19 @@ impl Aggregator {
         });
     }
 
-    /// A point-in-time view of the data aggregated so far; the tables and
-    /// figures can be rendered from it mid-study. Snapshots converge to
-    /// [`Aggregator::finish`]'s `data` once every call is absorbed.
+    /// A point-in-time view of the data aggregated so far, in absorption
+    /// order; the tables and figures can be rendered from it mid-study.
+    /// Once every call is absorbed it holds the calls of
+    /// [`Aggregator::finish`]'s `data`, which puts them in canonical order.
     pub fn snapshot(&self) -> StudyData {
         StudyData { calls: self.calls.clone() }
-    }
-
-    /// A point-in-time [`AggregateReport`] — [`Aggregator::finish`] on a
-    /// clone of the current state, with the call list in canonical order.
-    /// This is the live report endpoint's view: it can be taken repeatedly
-    /// while absorption continues, and once every call is absorbed it is
-    /// byte-identical to the sealed report (after canonical sorting).
-    pub fn snapshot_report(&self) -> AggregateReport {
-        let mut out = self.clone().finish();
-        out.data.sort_canonical();
-        out
     }
 
     /// Fold another aggregator's state into this one, as if `other`'s
     /// calls had been absorbed here directly.
     ///
     /// Merging is commutative and associative up to the order of the
-    /// `calls` vector (see [`StudyData::sort_canonical`]): findings keep
+    /// `calls` vector, which [`Aggregator::finish`] sorts: findings keep
     /// the strongest instance per kind, header profiles keep the
     /// lexicographically-smallest [`MAX_HEADER_PROFILES_PER_APP`] of the
     /// union (smallest-N is closed under union of smallest-N sides), and
@@ -458,9 +451,13 @@ impl Aggregator {
     }
 
     /// Seal the study: run the cross-call analyses (SSRC reuse per
-    /// `(app, network)` cell) and emit the aggregate report.
+    /// `(app, network)` cell) and emit the aggregate report, its calls in
+    /// canonical `(app, network, repeat)` order. This is the one place
+    /// calls are ordered, so a report does not depend on which driver
+    /// absorbed them or in what order they completed.
     pub fn finish(self) -> AggregateReport {
-        let Aggregator { calls, mut findings, mut header_profiles, ssrc_sets } = self;
+        let Aggregator { mut calls, mut findings, mut header_profiles, ssrc_sets } = self;
+        calls.sort_by(|a, b| (&a.app, &a.network, a.repeat).cmp(&(&b.app, &b.network, b.repeat)));
         for ((app, _net), sets) in &ssrc_sets {
             if let Some(f) = rtc_compliance::findings::detect_ssrc_reuse_sets(sets) {
                 let entry = findings.entry(app.clone()).or_default();
@@ -667,10 +664,8 @@ mod tests {
         merged.merge(shard_a);
         assert_eq!(merged.len(), seq.len());
 
-        let mut a = seq.finish();
-        let mut b = merged.finish();
-        a.data.sort_canonical();
-        b.data.sort_canonical();
+        let a = seq.finish();
+        let b = merged.finish();
         assert_eq!(a.data, b.data);
         assert_eq!(a.findings, b.findings);
         assert_eq!(a.header_profiles, b.header_profiles);
@@ -679,24 +674,17 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_report_converges_to_finish() {
+    fn finish_orders_calls_canonically() {
         let r = records();
         let ssrcs: std::collections::BTreeSet<u32> = [1].into_iter().collect();
         let mut agg = Aggregator::new();
         agg.absorb_call(r[1].clone(), &[], &["h".into()], ssrcs.clone());
-        // Mid-study snapshot renders without disturbing state.
-        let mid = agg.snapshot_report();
-        assert_eq!(mid.data.calls.len(), 1);
-        assert_eq!(agg.len(), 1);
         agg.absorb_call(r[0].clone(), &[], &[], ssrcs);
-        let snap = agg.snapshot_report();
-        let mut fin = agg.finish();
-        fin.data.sort_canonical();
-        assert_eq!(snap.data, fin.data);
-        assert_eq!(snap.findings, fin.findings);
-        assert_eq!(snap.header_profiles, fin.header_profiles);
-        // Canonical order: AppA sorts before AppB despite absorb order.
-        assert_eq!(snap.data.calls[0].app, "AppA");
+        // Snapshots keep absorption order; finish sorts AppA before AppB.
+        let snap = agg.snapshot();
+        assert_eq!(snap.calls.iter().map(|c| c.app.as_str()).collect::<Vec<_>>(), ["AppB", "AppA"]);
+        let fin = agg.finish();
+        assert_eq!(fin.data.calls, [snap.calls[1].clone(), snap.calls[0].clone()]);
     }
 
     #[test]

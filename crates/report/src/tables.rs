@@ -29,7 +29,9 @@ pub fn table1(data: &StudyData) -> TextTable {
                 (acc.0 + v.0, acc.1 + v.1)
             })
         };
-        let mb: f64 = calls.iter().map(|c| c.raw_bytes as f64 / 1e6).sum();
+        // Summed as integers and divided once, so the column does not
+        // depend on the order of the calls.
+        let mb = calls.iter().map(|c| c.raw_bytes).sum::<usize>() as f64 / 1e6;
         let raw_u = sum(|c| (c.raw.udp_streams, c.raw.udp_datagrams));
         let raw_t = sum(|c| (c.raw.tcp_streams, c.raw.tcp_segments));
         let s1_u = sum(|c| (c.stage1.udp_streams, c.stage1.udp_datagrams));

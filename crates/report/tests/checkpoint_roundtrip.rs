@@ -139,9 +139,7 @@ type Canonical = (StudyData, BTreeMap<String, Vec<Finding>>, BTreeMap<String, Ve
 
 fn canonical(agg: Aggregator) -> Canonical {
     let report = agg.finish();
-    let mut data = report.data;
-    data.sort_canonical();
-    (data, report.findings, report.header_profiles)
+    (report.data, report.findings, report.header_profiles)
 }
 
 /// Cases per property.

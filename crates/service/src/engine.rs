@@ -18,10 +18,11 @@
 //!   idle sessions, so no other thread touches the shard.
 //!
 //! Reports merge shard-partial aggregators per tenant
-//! ([`rtc_report::Aggregator::merge`] is order-invariant) and sort call
-//! records canonically, so the merged result is byte-identical to
-//! analyzing each tenant's calls offline in one batch — the differential
-//! suite in `tests/` proves it across shard counts and interleavings.
+//! ([`rtc_report::Aggregator::merge`] is order-invariant) and seal them
+//! with [`StudyReport::seal`], whose `finish` puts the calls in canonical
+//! order, so the merged result is byte-identical to analyzing each
+//! tenant's calls offline in one batch — the differential suite in
+//! `tests/` proves it across shard counts and interleavings.
 
 use rtc_capture::CallManifest;
 use rtc_core::pipeline::{CallMeta, CallSession, PipelineStats};
@@ -115,16 +116,17 @@ struct LiveSession {
     last_activity: Instant,
 }
 
+/// One tenant's partial aggregation with its pipeline counters, absorbed
+/// and sealed together, so a tenant's report carries its own calls' stats
+/// (the batch driver's convention), not the engine-wide mixture.
+pub(crate) type TenantPartial = (Aggregator, PipelineStats);
+
 /// Mutable per-shard state. The shard worker takes the lock once per
 /// message; report endpoints take it briefly to clone the partials.
 #[derive(Default)]
 struct ShardState {
     sessions: HashMap<SessionKey, LiveSession>,
-    tenants: BTreeMap<String, Aggregator>,
-    /// Pipeline counters per tenant, so a tenant's sealed report carries
-    /// its own calls' stats (the batch driver's convention), not the
-    /// engine-wide mixture.
-    tenant_stats: BTreeMap<String, PipelineStats>,
+    tenants: BTreeMap<String, TenantPartial>,
     errors: Vec<SessionError>,
     opened: u64,
     finished: u64,
@@ -166,7 +168,7 @@ impl Shard {
 /// [`Engine::shutdown`].
 #[derive(Default)]
 pub struct ServiceSummary {
-    /// Per-tenant sealed reports (canonically sorted call order).
+    /// Per-tenant sealed reports (canonical call order).
     pub reports: BTreeMap<String, StudyReport>,
     /// Per-stage counters summed over every session.
     pub stats: PipelineStats,
@@ -346,7 +348,7 @@ impl Engine {
     }
 
     /// Point-in-time per-tenant reports: shard partials merged per tenant
-    /// and snapshotted with canonical call order. Live sessions are not
+    /// and sealed, with canonical call order. Live sessions are not
     /// included (they have not finished); a tenant whose sessions all
     /// errored still reports, with empty data and populated `failures`.
     pub fn tenant_reports(&self) -> BTreeMap<String, StudyReport> {
@@ -373,15 +375,14 @@ impl Engine {
 /// fold over the per-tenant partials: stage counters add, the residency
 /// high-water mark takes the max.
 fn summarize<'a>(states: impl Iterator<Item = &'a Mutex<ShardState>>) -> ServiceSummary {
-    let mut merged: BTreeMap<String, (Aggregator, PipelineStats)> = BTreeMap::new();
+    let mut merged: BTreeMap<String, TenantPartial> = BTreeMap::new();
     let mut summary = ServiceSummary::default();
     for state in states {
         let st = state.lock().expect("shard state poisoned");
-        for (tenant, agg) in &st.tenants {
-            merged.entry(tenant.clone()).or_default().0.merge(agg.clone());
-        }
-        for (tenant, stats) in &st.tenant_stats {
-            merged.entry(tenant.clone()).or_default().1.absorb(stats);
+        for (tenant, (agg, stats)) in &st.tenants {
+            let (into_agg, into_stats) = merged.entry(tenant.clone()).or_default();
+            into_agg.merge(agg.clone());
+            into_stats.absorb(stats);
         }
         summary.errors.extend(st.errors.iter().cloned());
         summary.finished += st.finished;
@@ -396,7 +397,7 @@ fn summarize<'a>(states: impl Iterator<Item = &'a Mutex<ShardState>>) -> Service
     summary.reports = merged
         .into_iter()
         .map(|(tenant, (agg, stats))| {
-            let report = seal_report(&tenant, agg, &stats, &summary.errors);
+            let report = seal_report(&tenant, agg, stats, &summary.errors);
             (tenant, report)
         })
         .collect();
@@ -404,17 +405,14 @@ fn summarize<'a>(states: impl Iterator<Item = &'a Mutex<ShardState>>) -> Service
 }
 
 /// Seal one tenant's merged aggregation into a renderable [`StudyReport`].
-/// Call order is canonicalized so the result is independent of shard
-/// scheduling. `stats` is the tenant's own pipeline counters (not the
-/// engine-wide mixture), and the tenant's session errors surface as
-/// `failures` carrying the manifest's app/network like the batch driver's.
-/// The live service has no global input order, so `FailedCall::index` is
-/// the position in the tenant's canonically sorted failure list — also
+/// `stats` is the tenant's own pipeline counters (not the engine-wide
+/// mixture), and the tenant's session errors surface as `failures`
+/// carrying the manifest's app/network like the batch driver's. The live
+/// service has no global input order, so `FailedCall::index` is the
+/// position in the tenant's canonically sorted failure list — also
 /// shard-scheduling-independent; call-level identity stays available on
 /// [`ServiceSummary::errors`].
-fn seal_report(tenant: &str, agg: Aggregator, stats: &PipelineStats, errors: &[SessionError]) -> StudyReport {
-    let mut report = agg.snapshot_report();
-    report.data.sort_canonical();
+fn seal_report(tenant: &str, agg: Aggregator, stats: PipelineStats, errors: &[SessionError]) -> StudyReport {
     let mut failed: Vec<&SessionError> = errors.iter().filter(|e| e.key.tenant == tenant).collect();
     failed.sort_by(|a, b| (&a.app, &a.network, &a.key.call_id).cmp(&(&b.app, &b.network, &b.key.call_id)));
     let failures = failed
@@ -427,14 +425,7 @@ fn seal_report(tenant: &str, agg: Aggregator, stats: &PipelineStats, errors: &[S
             error: e.error.clone(),
         })
         .collect();
-    StudyReport {
-        data: report.data,
-        findings: report.findings,
-        header_profiles: report.header_profiles,
-        failures,
-        pipeline: stats.clone(),
-        metrics: rtc_obs::Snapshot::default(),
-    }
+    StudyReport::seal(agg, stats, failures, rtc_obs::Snapshot::default())
 }
 
 /// One shard's worker thread: everything it owns besides its receiver.
@@ -576,17 +567,15 @@ impl ShardWorker {
 fn finish_session(st: &mut ShardState, key: SessionKey, live: LiveSession, study: &StudyConfig) {
     let meta = live.session.meta().clone();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| live.session.finish()));
-    let ShardState { tenants, tenant_stats, errors, .. } = st;
     match outcome {
         Ok((analysis, call_stats)) => {
-            let stats = tenant_stats.entry(key.tenant.clone()).or_default();
+            let (agg, stats) = st.tenants.entry(key.tenant).or_default();
             stats.absorb(&call_stats);
-            let agg = tenants.entry(key.tenant.clone()).or_default();
             rtc_core::absorb_analysis(agg, stats, analysis, &study.obs);
         }
         Err(panic) => {
             let error = rtc_core::panic_message(panic.as_ref());
-            errors.push(SessionError { key, app: meta.app, network: meta.network, error });
+            st.errors.push(SessionError { key, app: meta.app, network: meta.network, error });
         }
     }
 }

@@ -11,7 +11,7 @@
 //! calls interleave in one global virtual-time order that is reproducible
 //! run to run.
 
-use crate::engine::{Engine, SessionKey};
+use crate::engine::{Engine, SessionKey, TenantPartial};
 use rtc_apps::{Application, CallScenario};
 use rtc_capture::CallCapture;
 use rtc_netemu::fleet::{FleetPlan, ScheduledCall};
@@ -163,45 +163,27 @@ pub fn drive_fleet(engine: &Engine, plan: &FleetPlan, opts: &FleetDriveOptions) 
 }
 
 /// Offline comparator: analyze every call of `plan` per tenant, one call
-/// at a time in canonical order, through the identical pipeline and
-/// absorb path, and seal per-tenant reports. The differential suite (and
-/// the CI smoke job) assert [`drive_fleet`]'s live output is
-/// byte-identical to this.
+/// at a time in plan order, through the identical pipeline and absorb
+/// path, and seal per-tenant reports. The differential suite (and the CI
+/// smoke job) assert [`drive_fleet`]'s live output is byte-identical to
+/// this.
 pub fn batch_reports(
     plan: &FleetPlan,
     opts: &FleetDriveOptions,
     study: &rtc_core::StudyConfig,
 ) -> std::io::Result<std::collections::BTreeMap<String, rtc_core::StudyReport>> {
-    let mut per_tenant: std::collections::BTreeMap<String, Vec<&ScheduledCall>> = Default::default();
+    let mut per_tenant: std::collections::BTreeMap<String, TenantPartial> = Default::default();
     for call in &plan.calls {
-        per_tenant.entry(call.tenant.clone()).or_default().push(call);
+        let capture = materialize(call, opts)?;
+        let (analysis, call_stats) = rtc_core::analyze_capture_staged(&capture, study);
+        let (agg, stats) = per_tenant.entry(call.tenant.clone()).or_default();
+        stats.absorb(&call_stats);
+        rtc_core::absorb_analysis(agg, stats, analysis, &study.obs);
     }
-    let mut out = std::collections::BTreeMap::new();
-    for (tenant, mut calls) in per_tenant {
-        calls.sort_by(|a, b| {
-            (&a.app_slug, &a.network_label, a.repeat).cmp(&(&b.app_slug, &b.network_label, b.repeat))
-        });
-        let mut agg = rtc_report::Aggregator::new();
-        let mut stats = rtc_core::pipeline::PipelineStats::default();
-        for call in calls {
-            let capture = materialize(call, opts)?;
-            let (analysis, call_stats) = rtc_core::analyze_capture_staged(&capture, study);
-            stats.absorb(&call_stats);
-            rtc_core::absorb_analysis(&mut agg, &mut stats, analysis, &study.obs);
-        }
-        let mut report = agg.snapshot_report();
-        report.data.sort_canonical();
-        out.insert(
-            tenant,
-            rtc_core::StudyReport {
-                data: report.data,
-                findings: report.findings,
-                header_profiles: report.header_profiles,
-                failures: Vec::new(),
-                pipeline: stats,
-                metrics: rtc_obs::Snapshot::default(),
-            },
-        );
-    }
-    Ok(out)
+    Ok(per_tenant
+        .into_iter()
+        .map(|(tenant, (agg, stats))| {
+            (tenant, rtc_core::StudyReport::seal(agg, stats, Vec::new(), rtc_obs::Snapshot::default()))
+        })
+        .collect())
 }

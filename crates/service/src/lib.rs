@@ -27,9 +27,9 @@
 //!   thread.
 //! * **Per-tenant incremental aggregation** — finished sessions fold into
 //!   per-shard per-tenant [`rtc_report::Aggregator`]s; report endpoints
-//!   merge the shard partials (order-invariant) and canonicalize call
-//!   order, which is what makes live output comparable byte for byte with
-//!   offline batch analysis.
+//!   merge the shard partials (order-invariant) and seal them, which puts
+//!   the calls in canonical order: that is what makes live output
+//!   comparable byte for byte with offline batch analysis.
 //! * **HTTP surface** ([`server`]) — `POST /ingest`, Prometheus/JSON
 //!   scrape routes, live per-tenant reports, graceful `POST /shutdown`;
 //!   [`signal`] wires SIGINT/SIGTERM to the same graceful path.

@@ -14,10 +14,9 @@
 //!
 //! The merge step validates every shard's final snapshot header, folds
 //! the aggregators in shard order through the commutative
-//! `Aggregator::merge`, canonically sorts the call list, and emits a
-//! `StudyReport` whose rendering is byte-identical to a single-process
-//! batch run of the same plan — the property the `study-scale` and
-//! `checkpoint-resume` CI jobs pin.
+//! `Aggregator::merge`, and seals a `StudyReport` whose rendering is
+//! byte-identical to a single-process batch run of the same plan — the
+//! property the `study-scale` and `checkpoint-resume` CI jobs pin.
 
 use crate::checkpoint::{CheckpointHeader, ShardCheckpoint};
 use crate::plan::CorpusPlan;
@@ -39,15 +38,11 @@ pub struct ShardOptions {
     /// Re-judge every Nth shard-local call against the reference oracle
     /// (`0` = no oracle sampling).
     pub oracle_sample: usize,
-    /// Test hook: complete at most this many calls in this invocation,
-    /// then checkpoint and return (simulating an interrupted shard
-    /// without process orchestration).
-    pub stop_after_calls: Option<usize>,
 }
 
 impl Default for ShardOptions {
     fn default() -> ShardOptions {
-        ShardOptions { record_interval: 50_000, chunk_records: 0, oracle_sample: 10, stop_after_calls: None }
+        ShardOptions { record_interval: 50_000, chunk_records: 0, oracle_sample: 10 }
     }
 }
 
@@ -68,9 +63,6 @@ pub struct ShardOutcome {
     pub elapsed_secs: f64,
     /// Whether this invocation picked up from an existing checkpoint.
     pub resumed: bool,
-    /// `true` when `stop_after_calls` ended the invocation early (a
-    /// checkpoint was written; the shard is not finished).
-    pub stopped_early: bool,
 }
 
 /// Path of a shard's periodic checkpoint.
@@ -106,9 +98,8 @@ pub fn shard_config(plan: &CorpusPlan, shards: usize) -> StudyConfig {
 
 /// Run (or resume) one shard of the campaign under `dir`.
 ///
-/// Returns early with `stopped_early` when `options.stop_after_calls`
-/// fires. Exits the *process* (SIGTERM to self, exit code 143 as
-/// fallback) when the `RTC_STUDY_KILL_SHARD` / `RTC_STUDY_KILL_AFTER_RECORDS`
+/// Exits the *process* (SIGTERM to self, exit code 143 as fallback) when
+/// the `RTC_STUDY_KILL_SHARD` / `RTC_STUDY_KILL_AFTER_RECORDS`
 /// fault-injection hook targets this shard — the `checkpoint-resume` CI
 /// job uses this to kill a shard mid-run at a deterministic point.
 pub fn run_shard(dir: &Path, shard: usize, options: &ShardOptions) -> io::Result<ShardOutcome> {
@@ -128,7 +119,7 @@ pub fn run_shard(dir: &Path, shard: usize, options: &ShardOptions) -> io::Result
     // report the recorded outcome without redoing anything.
     if done.exists() {
         let state = ShardCheckpoint::load(&done, &header)?;
-        return Ok(outcome_of(&state, shard, owned.len(), false, false));
+        return Ok(outcome_of(&state, shard, owned.len(), false));
     }
 
     let (mut state, resumed) = if ckpt_path.exists() {
@@ -145,18 +136,10 @@ pub fn run_shard(dir: &Path, shard: usize, options: &ShardOptions) -> io::Result
     let started = std::time::Instant::now();
     let base_elapsed = state.elapsed_secs;
     let mut records_at_last_ckpt = state.records;
-    let mut completed_this_run = 0usize;
 
     for (ordinal, planned) in owned.iter().enumerate() {
         if ordinal < state.cursor {
             continue; // Done before the checkpoint; corpus file is in place.
-        }
-        if let Some(limit) = options.stop_after_calls {
-            if completed_this_run >= limit {
-                state.elapsed_secs = base_elapsed + started.elapsed().as_secs_f64();
-                state.write_atomic(&ckpt_path)?;
-                return Ok(outcome_of(&state, shard, owned.len(), resumed, true));
-            }
         }
 
         // Regenerate deterministically and persist before analyzing: the
@@ -204,7 +187,6 @@ pub fn run_shard(dir: &Path, shard: usize, options: &ShardOptions) -> io::Result
             }
         }
         state.cursor = ordinal + 1;
-        completed_this_run += 1;
 
         // Fault injection first: work since the last checkpoint is lost,
         // exactly like a real SIGTERM between checkpoints.
@@ -223,16 +205,10 @@ pub fn run_shard(dir: &Path, shard: usize, options: &ShardOptions) -> io::Result
     state.elapsed_secs = base_elapsed + started.elapsed().as_secs_f64();
     state.write_atomic(&done)?;
     let _ = std::fs::remove_file(&ckpt_path);
-    Ok(outcome_of(&state, shard, owned.len(), resumed, false))
+    Ok(outcome_of(&state, shard, owned.len(), resumed))
 }
 
-fn outcome_of(
-    state: &ShardCheckpoint,
-    shard: usize,
-    calls_owned: usize,
-    resumed: bool,
-    stopped_early: bool,
-) -> ShardOutcome {
+fn outcome_of(state: &ShardCheckpoint, shard: usize, calls_owned: usize, resumed: bool) -> ShardOutcome {
     ShardOutcome {
         shard,
         calls: state.cursor,
@@ -241,7 +217,6 @@ fn outcome_of(
         bytes: state.bytes,
         elapsed_secs: state.elapsed_secs,
         resumed,
-        stopped_early,
     }
 }
 
@@ -284,7 +259,7 @@ pub struct MergedShard {
 /// The merged study: the report plus per-shard accounting.
 #[derive(Debug)]
 pub struct MergedStudy {
-    /// The sealed, canonically sorted study report.
+    /// The sealed study report.
     pub report: StudyReport,
     /// Per-shard summaries, in shard order.
     pub shards: Vec<MergedShard>,
@@ -339,18 +314,7 @@ pub fn merge_shards(dir: &Path) -> io::Result<MergedStudy> {
         failures.extend(state.failures);
         merged.merge(state.aggregator);
     }
-    failures.sort_by_key(|f| f.index);
-
-    let rtc_core::report::AggregateReport { mut data, findings, header_profiles } = merged.finish();
-    data.sort_canonical();
-    let report = StudyReport {
-        data,
-        findings,
-        header_profiles,
-        failures,
-        pipeline: stats,
-        metrics: rtc_core::obs::MetricsRegistry::disabled().snapshot(),
-    };
+    let report = StudyReport::seal(merged, stats, failures, Default::default());
     Ok(MergedStudy { report, shards, oracle_calls, oracle_messages })
 }
 
@@ -362,9 +326,5 @@ pub fn merge_shards(dir: &Path) -> io::Result<MergedStudy> {
 pub fn batch_reference(dir: &Path, chunk_records: usize) -> io::Result<StudyReport> {
     let plan = CorpusPlan::load(dir)?;
     let config = shard_config(&plan, 1);
-    let mut report = StreamingStudy::analyze_dir(CorpusPlan::corpus_dir(dir), &config, chunk_records, None)?;
-    // The merged report is canonically sorted; sort the reference too so
-    // even whole-struct comparisons (not just renders) line up.
-    report.data.sort_canonical();
-    Ok(report)
+    StreamingStudy::analyze_dir(CorpusPlan::corpus_dir(dir), &config, chunk_records, None)
 }

@@ -1,8 +1,7 @@
 //! End-to-end properties of the sharded runner: the merged report is
-//! byte-identical to a single-process batch run of the same plan, a
-//! shard interrupted mid-run resumes from its checkpoint to the exact
-//! same bytes as an uninterrupted campaign, and a checkpoint's size does
-//! not follow the traffic its calls carried.
+//! byte-identical to a single-process batch run of the same plan, and a
+//! checkpoint's size does not follow the traffic its calls carried. The
+//! CLI integration suite covers kill-and-resume with a real SIGTERM.
 
 use rtc_core::capture::ExperimentConfig;
 use rtc_core::report::json::study_to_json;
@@ -25,7 +24,7 @@ fn options() -> ShardOptions {
     // A record interval small enough that every shard writes several
     // periodic checkpoints along the way, and a sample rate that
     // exercises the oracle path on a few calls per shard.
-    ShardOptions { record_interval: 2_000, chunk_records: 64, oracle_sample: 5, stop_after_calls: None }
+    ShardOptions { record_interval: 2_000, chunk_records: 64, oracle_sample: 5 }
 }
 
 fn fingerprint(report: &StudyReport) -> (String, String) {
@@ -41,7 +40,6 @@ fn merged_shards_equal_single_process_batch() {
 
     for shard in 0..plan.shards {
         let outcome = run_shard(&dir, shard, &options()).unwrap();
-        assert!(!outcome.stopped_early);
         assert!(!outcome.resumed);
         assert_eq!(outcome.calls, outcome.calls_owned);
         assert!(outcome.records > 0, "shard {shard} decoded nothing");
@@ -57,42 +55,6 @@ fn merged_shards_equal_single_process_batch() {
     let batch = batch_reference(&dir, 64).unwrap();
     assert_eq!(fingerprint(&merged.report), fingerprint(&batch), "sharded merge diverged from batch run");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn resumed_shard_matches_uninterrupted_campaign() {
-    let uninterrupted = scratch("resume-a");
-    let interrupted = scratch("resume-b");
-    let plan = small_plan(2, 11);
-    plan.save(&uninterrupted).unwrap();
-    plan.save(&interrupted).unwrap();
-
-    for shard in 0..plan.shards {
-        run_shard(&uninterrupted, shard, &options()).unwrap();
-    }
-    let reference = merge_shards(&uninterrupted).unwrap();
-
-    // Interrupt shard 0 after two calls (the checkpoint-on-stop path is
-    // the same code a SIGTERM-ed shard relies on), then resume it.
-    let stopped = run_shard(&interrupted, 0, &ShardOptions { stop_after_calls: Some(2), ..options() }).unwrap();
-    assert!(stopped.stopped_early);
-    assert_eq!(stopped.calls, 2);
-    assert!(checkpoint_path(&interrupted, 0).exists());
-    assert!(!done_path(&interrupted, 0).exists());
-
-    let resumed = run_shard(&interrupted, 0, &options()).unwrap();
-    assert!(resumed.resumed, "second invocation must pick up the checkpoint");
-    assert_eq!(resumed.calls, resumed.calls_owned);
-    run_shard(&interrupted, 1, &options()).unwrap();
-
-    let merged = merge_shards(&interrupted).unwrap();
-    assert_eq!(
-        fingerprint(&merged.report),
-        fingerprint(&reference.report),
-        "kill-and-resume changed the merged report"
-    );
-    let _ = std::fs::remove_dir_all(&uninterrupted);
-    let _ = std::fs::remove_dir_all(&interrupted);
 }
 
 /// Two shards whose calls differ only in duration (15 s vs 30 s) carry

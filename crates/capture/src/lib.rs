@@ -59,14 +59,16 @@ impl ExperimentConfig {
         c
     }
 
-    /// Decode the application list, skipping unknown slugs (the CLI
-    /// rejects them before a config is built).
+    /// Decode the application list, skipping unknown slugs. Nothing the
+    /// study runs reaches here with one: [`check_names`] rejects them in the
+    /// CLI's arguments, in a resumed campaign plan and in a live session's
+    /// manifest.
     pub fn applications(&self) -> Vec<Application> {
         self.apps.iter().filter_map(|s| Application::from_slug(s)).collect()
     }
 
-    /// Decode the network list, skipping unknown labels (the CLI rejects
-    /// them before a config is built).
+    /// Decode the network list, skipping unknown labels, which
+    /// [`check_names`] rejects before a config is used.
     pub fn network_configs(&self) -> Vec<NetworkConfig> {
         self.networks.iter().filter_map(|s| NetworkConfig::from_label(s)).collect()
     }
@@ -75,6 +77,19 @@ impl ExperimentConfig {
     pub fn total_calls(&self) -> usize {
         self.applications().len() * self.network_configs().len() * self.repeats
     }
+}
+
+/// Reject the first application slug or network label the study does not
+/// know. The one name check: the CLI's arguments, resumed campaign plans,
+/// saved manifests and live sessions all go through it.
+pub fn check_names(apps: &[String], networks: &[String]) -> Result<(), String> {
+    if let Some(app) = apps.iter().find(|a| Application::from_slug(a).is_none()) {
+        return Err(format!("unknown app '{app}'"));
+    }
+    if let Some(network) = networks.iter().find(|n| NetworkConfig::from_label(n).is_none()) {
+        return Err(format!("unknown network '{network}'"));
+    }
+    Ok(())
 }
 
 /// Ground-truth metadata logged for one call (paper §3.1.2: event
@@ -272,18 +287,8 @@ pub fn scan_experiment(dir: impl AsRef<std::path::Path>) -> std::io::Result<Vec<
         }
         let manifest: CallManifest =
             serde_json::from_str(&std::fs::read_to_string(&path)?).map_err(std::io::Error::other)?;
-        if Application::from_slug(&manifest.app).is_none() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("{}: unknown application slug {:?}", path.display(), manifest.app),
-            ));
-        }
-        if NetworkConfig::from_label(&manifest.network).is_none() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("{}: unknown network label {:?}", path.display(), manifest.network),
-            ));
-        }
+        check_names(std::slice::from_ref(&manifest.app), std::slice::from_ref(&manifest.network))
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{}: {e}", path.display())))?;
         out.push((path.with_extension("pcap"), manifest));
     }
     out.sort_by(|a, b| (&a.1.app, &a.1.network, a.1.repeat).cmp(&(&b.1.app, &b.1.network, b.1.repeat)));

@@ -16,6 +16,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use rtc_core::capture::check_names;
 use rtc_core::{Artifact, Study, StudyConfig};
 use std::path::PathBuf;
 
@@ -230,6 +231,9 @@ streaming engine (peak memory bounded across calls, and linear in one
 call's retained RTC bytes) and one progress line per call reports the
 per-stage counters and timings.
 
+`--chunk N` sets the records per read and, like `--progress-metrics`,
+needs `--stream`.
+
 `--metrics PATH` dumps the observability registry when the study is done:
 Prometheus text exposition by default, JSON when PATH ends in `.json`.
 With `--stream --progress-metrics` a compact metrics summary line follows
@@ -287,17 +291,6 @@ apps:     zoom facetime whatsapp messenger discord meet
 networks: wifi-p2p wifi-relay cellular
 ";
 
-/// Reject the first app slug or network label the study does not know.
-fn check_names(apps: &[String], networks: &[String]) -> Result<(), String> {
-    if let Some(app) = apps.iter().find(|a| rtc_core::apps::Application::from_slug(a).is_none()) {
-        return Err(format!("unknown app '{app}'"));
-    }
-    if let Some(network) = networks.iter().find(|n| rtc_core::netemu::NetworkConfig::from_label(n).is_none()) {
-        return Err(format!("unknown network '{network}'"));
-    }
-    Ok(())
-}
-
 /// Parse a command line (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter().peekable();
@@ -343,15 +336,16 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         "analyze" => {
             let dir = PathBuf::from(it.next().cloned().ok_or("analyze: missing <dir>")?);
             let mut stream = false;
-            let mut chunk = 0usize;
+            let mut chunk = None;
             let mut metrics = None;
             let mut progress_metrics = false;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--stream" => stream = true,
                     "--chunk" => {
-                        chunk =
-                            it.next().ok_or("--chunk needs a value")?.parse().map_err(|e| format!("--chunk: {e}"))?;
+                        chunk = Some(
+                            it.next().ok_or("--chunk needs a value")?.parse().map_err(|e| format!("--chunk: {e}"))?,
+                        );
                     }
                     "--metrics" => {
                         metrics = Some(PathBuf::from(it.next().cloned().ok_or("--metrics needs a value")?));
@@ -363,7 +357,10 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             if progress_metrics && !stream {
                 return Err("--progress-metrics needs --stream".into());
             }
-            Ok(Command::Analyze { dir, stream, chunk, metrics, progress_metrics })
+            if chunk.is_some() && !stream {
+                return Err("--chunk needs --stream".into());
+            }
+            Ok(Command::Analyze { dir, stream, chunk: chunk.unwrap_or(0), metrics, progress_metrics })
         }
         "generate" => {
             let app = it.next().cloned().ok_or("generate: missing <app>")?;
@@ -1239,6 +1236,13 @@ mod tests {
         assert!(parse(&args("analyze /tmp/exp --bogus")).is_err());
         assert!(parse(&args("analyze /tmp/exp --metrics")).is_err());
         assert!(parse(&args("analyze /tmp/exp --progress-metrics")).is_err(), "needs --stream");
+        // The batch driver reads whole captures, so a chunk size without
+        // --stream would be silently ignored.
+        assert_eq!(parse(&args("analyze /tmp/exp --chunk 64")), Err("--chunk needs --stream".to_string()));
+        assert!(matches!(
+            parse(&args("analyze /tmp/exp --chunk 64 --stream")),
+            Ok(Command::Analyze { stream: true, chunk: 64, .. })
+        ));
     }
 
     #[test]

@@ -341,6 +341,26 @@ fn scale_campaign_merges_verifies_and_survives_kill_resume() {
 }
 
 #[test]
+fn scale_resume_rejects_plans_naming_unknown_apps_or_networks() {
+    for (field, name) in [("apps", "zom"), ("networks", "wifi")] {
+        let dir = scratch(&format!("resume-{name}"));
+        let mut experiment = rtc_core::capture::ExperimentConfig::smoke(5);
+        match field {
+            "apps" => experiment.apps = vec![name.into()],
+            _ => experiment.networks = vec![name.into()],
+        }
+        let plan = rtc_shard::CorpusPlan { tier: "paper".into(), shards: 1, experiment };
+        std::fs::write(rtc_shard::CorpusPlan::path(&dir), plan.to_json().to_string()).unwrap();
+        let out = run(&["scale", "--resume", dir.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{field} {name}: {}", stdout(&out));
+        let err = stderr(&out);
+        assert!(err.contains(&format!("'{name}'")), "{err}");
+        assert!(!stdout(&out).contains("calls over"), "nothing runs: {}", stdout(&out));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
 fn oracle_reduced_matrix_is_clean() {
     // One app keeps the 4-configuration sweep cheap; the full matrix and
     // golden comparison run in the CI `oracle` job.

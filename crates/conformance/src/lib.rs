@@ -458,6 +458,8 @@ fn case_seed(name: &str, case: u32) -> u64 {
 /// the case index, so every run replays the same cases. A failing case
 /// panics with the property name, the case index and the seed;
 /// `SplitMix64::new(seed)` regenerates that case's input.
+// rtc-conformance sits below rtc-core, so it cannot use `rtc_core::contain`.
+#[allow(clippy::disallowed_methods)]
 pub fn check_cases(name: &str, cases: u32, mut property: impl FnMut(&mut SplitMix64)) {
     for case in 0..cases {
         let seed = case_seed(name, case);
@@ -621,6 +623,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn failure_names_property_case_and_the_seed_that_replays_it() {
         let name = "short_inputs_only";
         let mut inputs = Vec::new();

@@ -153,18 +153,26 @@ impl Artifact {
     ];
 }
 
-/// One call whose analysis panicked. The study records it and continues;
-/// a single poisoned capture no longer takes down the whole run.
+/// One call whose analysis failed (a contained panic, or an I/O error
+/// reading its capture). The study records it and continues; a single
+/// poisoned capture no longer takes down the whole run.
 #[derive(Debug, Clone)]
 pub struct FailedCall {
-    /// Index of the capture in the input slice.
+    /// Index of the call in its driver's input order.
     pub index: usize,
     /// Application name from the call manifest.
     pub app: String,
     /// Network label from the call manifest.
     pub network: String,
-    /// The panic message.
+    /// The panic message or I/O error.
     pub error: String,
+}
+
+impl FailedCall {
+    /// The failure of call `index`, named after its manifest.
+    pub fn of(index: usize, manifest: &rtc_capture::CallManifest, error: String) -> FailedCall {
+        FailedCall { index, app: manifest.application().name().to_string(), network: manifest.network.clone(), error }
+    }
 }
 
 /// The complete study output.
@@ -177,7 +185,7 @@ pub struct StudyReport {
     /// Proprietary-header profile summaries per application (a few
     /// representative streams each).
     pub header_profiles: BTreeMap<String, Vec<String>>,
-    /// Calls whose analysis panicked, in input order (empty on a clean run).
+    /// Calls whose analysis failed, ordered by index (empty on a clean run).
     pub failures: Vec<FailedCall>,
     /// Per-stage counters/timings summed over all calls, with the peak
     /// filter residency (max over calls).
@@ -191,22 +199,6 @@ pub struct StudyReport {
 }
 
 impl StudyReport {
-    /// Seal a study into its report: finish the aggregation, which puts
-    /// the calls in canonical `(app, network, repeat)` order, and order the
-    /// failed calls by index. Every driver builds its report here, so a
-    /// report does not depend on the driver or on the order calls
-    /// completed in.
-    pub fn seal(
-        aggregate: rtc_report::Aggregator,
-        pipeline: pipeline::PipelineStats,
-        mut failures: Vec<FailedCall>,
-        metrics: rtc_obs::Snapshot,
-    ) -> StudyReport {
-        let rtc_report::AggregateReport { data, findings, header_profiles } = aggregate.finish();
-        failures.sort_by_key(|f| f.index);
-        StudyReport { data, findings, header_profiles, failures, pipeline, metrics }
-    }
-
     /// Render one artifact as an aligned text table.
     pub fn render_table(&self, artifact: Artifact) -> String {
         self.table(artifact).to_text()
@@ -267,6 +259,90 @@ impl StudyReport {
     }
 }
 
+/// The calls folded so far: their aggregation, the pipeline counters
+/// summed over them, and the calls whose analysis failed. Every driver
+/// folds through it: each batch worker, the streaming loop, each live
+/// tenant, and the shard merge. [`StudyFold::seal`] turns it into the
+/// report, and folding is order-invariant, so a report depends neither on
+/// the driver nor on the order calls finished in.
+#[derive(Debug, Clone, Default)]
+pub struct StudyFold {
+    /// The calls absorbed so far.
+    pub aggregate: rtc_report::Aggregator,
+    /// Per-stage counters summed over the absorbed calls, with the peak
+    /// filter residency (max over calls).
+    pub stats: pipeline::PipelineStats,
+    /// Calls whose analysis failed.
+    pub failures: Vec<FailedCall>,
+}
+
+impl StudyFold {
+    /// Fold one analyzed call and its pipeline counters.
+    pub fn absorb(
+        &mut self,
+        analysis: CallAnalysis,
+        call_stats: &pipeline::PipelineStats,
+        obs: &rtc_obs::MetricsRegistry,
+    ) {
+        self.stats.absorb(call_stats);
+        absorb_analysis(&mut self.aggregate, &mut self.stats, analysis, obs);
+    }
+
+    /// Record that call `index` failed with `error`.
+    pub fn fail(&mut self, index: usize, manifest: &rtc_capture::CallManifest, error: String) {
+        self.failures.push(FailedCall::of(index, manifest, error));
+    }
+
+    /// Fold another fold's calls into this one.
+    pub fn merge(&mut self, other: StudyFold) {
+        self.aggregate.merge(other.aggregate);
+        self.stats.absorb(&other.stats);
+        self.failures.extend(other.failures);
+    }
+
+    /// Seal the study into its report: finish the aggregation, which puts
+    /// the calls in canonical `(app, network, repeat)` order, and order the
+    /// failed calls by index. This is the one place a [`StudyReport`] is
+    /// built.
+    pub fn seal(self, metrics: rtc_obs::Snapshot) -> StudyReport {
+        let StudyFold { aggregate, stats: pipeline, mut failures } = self;
+        let rtc_report::AggregateReport { data, findings, header_profiles } = aggregate.finish();
+        failures.sort_by_key(|f| f.index);
+        StudyReport { data, findings, header_profiles, failures, pipeline, metrics }
+    }
+
+    /// Record the run-level call counters and seal with the registry's
+    /// snapshot: the end of a batch or streaming study.
+    fn finish_study(self, obs: &rtc_obs::MetricsRegistry) -> StudyReport {
+        if obs.is_enabled() {
+            obs.counter("rtc_study_calls_total", &[], "Calls analyzed to completion.")
+                .add(self.aggregate.len() as u64);
+            obs.counter("rtc_study_call_failures_total", &[], "Calls whose analysis failed and was excluded.")
+                .add(self.failures.len() as u64);
+        }
+        self.seal(obs.snapshot())
+    }
+}
+
+/// Run `f`, turning a panic into its message. This is the workspace's one
+/// panic containment: a call whose analysis panics fails alone, and the
+/// drivers record it and go on with the next call.
+#[allow(clippy::disallowed_methods)]
+pub fn contain<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|e| panic_message(e.as_ref()))
+}
+
+/// Best-effort text of a caught panic payload.
+fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = e.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = e.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "opaque panic payload".to_string()
+    }
+}
+
 /// The study driver.
 pub struct Study;
 
@@ -300,83 +376,46 @@ impl Study {
         let mut config = config.clone();
         config.dpi.threads = rtc_dpi::par::share_threads(config.dpi.threads, workers);
         let config = &config;
-        let mut analyses: Vec<Option<(CallAnalysis, pipeline::PipelineStats)>> =
-            (0..captures.len()).map(|_| None).collect();
-        let mut failures: Vec<FailedCall> = Vec::new();
+        let mut fold = StudyFold::default();
         std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for _ in 0..workers {
-                let next = &next;
-                let analyze_one = &analyze_one;
-                handles.push(s.spawn(move || {
-                    // Each worker thread roots its own span hierarchy, so
-                    // call spans nest as `study.call.…` on every thread.
-                    let _study_span = config.obs.span("study");
-                    let mut done = Vec::new();
-                    let mut failed = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(cap) = captures.get(i) else { break };
-                        // A panicking call is recorded and skipped; the
-                        // remaining calls still produce a report.
-                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| analyze_one(cap, config))) {
-                            Ok(a) => done.push((i, a)),
-                            Err(e) => failed.push(FailedCall {
-                                index: i,
-                                app: cap.manifest.application().name().to_string(),
-                                network: cap.manifest.network.clone(),
-                                error: panic_message(e.as_ref()),
-                            }),
+            let workers: Vec<_> = (0..workers)
+                .map(|_| {
+                    s.spawn(|| {
+                        // Each worker thread roots its own span hierarchy, so
+                        // call spans nest as `study.call.…` on every thread.
+                        let _study_span = config.obs.span("study");
+                        // Each call is folded before the next is taken, so
+                        // a worker holds one call's analysis at a time.
+                        let mut fold = StudyFold::default();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(cap) = captures.get(i) else { break };
+                            match contain(|| analyze_one(cap, config)) {
+                                Ok((analysis, call_stats)) => fold.absorb(analysis, &call_stats, &config.obs),
+                                Err(error) => fold.fail(i, &cap.manifest, error),
+                            }
                         }
-                    }
-                    (done, failed)
-                }));
-            }
-            for h in handles {
-                // Per-call panics are caught above, so a worker join can
-                // only fail on a bug in the loop itself.
-                let (done, failed) = h.join().expect("study worker loop panicked");
-                for (i, a) in done {
-                    analyses[i] = Some(a);
-                }
-                failures.extend(failed);
+                        fold
+                    })
+                })
+                .collect();
+            for worker in workers {
+                // Per-call panics are contained above, so a worker join
+                // can only fail on a bug in the loop itself.
+                fold.merge(worker.join().expect("study worker loop panicked"));
             }
         });
-
-        // Fold completed calls through the incremental aggregator — the
-        // exact state machine the streaming driver uses, so batch and
-        // streaming reports are identical by construction.
-        let _study_span = config.obs.span("study");
-        let mut aggregate = rtc_report::Aggregator::new();
-        let mut stats = pipeline::PipelineStats::default();
-        let mut analyzed = 0u64;
-        for (analysis, call_stats) in analyses.into_iter().flatten() {
-            analyzed += 1;
-            stats.absorb(&call_stats);
-            absorb_analysis(&mut aggregate, &mut stats, analysis, &config.obs);
-        }
-        record_study_totals(&config.obs, analyzed, failures.len() as u64);
-        drop(_study_span);
-        StudyReport::seal(aggregate, stats, failures, config.obs.snapshot())
+        fold.finish_study(&config.obs)
     }
-}
-
-/// Record the run-level call counters.
-fn record_study_totals(obs: &rtc_obs::MetricsRegistry, analyzed: u64, failed: u64) {
-    if !obs.is_enabled() {
-        return;
-    }
-    obs.counter("rtc_study_calls_total", &[], "Calls analyzed to completion.").add(analyzed);
-    obs.counter("rtc_study_call_failures_total", &[], "Calls whose analysis failed and was excluded.").add(failed);
 }
 
 /// Fold one completed call into the aggregator (the pipeline's fifth
 /// stage), timing it under [`pipeline::StageKind::Aggregate`]. Only the
 /// compact by-products survive: the record, findings, header-profile
-/// summaries and SSRC inventory; the dissection is dropped here. The batch
-/// driver, the streaming driver and the live service all absorb through
-/// this one path, which is what makes their reports comparable byte for
-/// byte.
+/// summaries and SSRC inventory; the dissection is dropped here. Every
+/// driver absorbs through [`StudyFold::absorb`], which calls this, and the
+/// sharded runner calls it on its checkpoint's aggregator: one path, which
+/// is what makes their reports comparable byte for byte.
 pub fn absorb_analysis(
     aggregate: &mut rtc_report::Aggregator,
     stats: &mut pipeline::PipelineStats,
@@ -441,62 +480,34 @@ impl StreamingStudy {
 
         let total = manifests.len();
         let _study_span = config.obs.span("study");
-        let mut aggregate = rtc_report::Aggregator::new();
-        let mut stats = pipeline::PipelineStats::default();
-        let mut failures: Vec<FailedCall> = Vec::new();
-        let mut analyzed = 0u64;
+        let mut fold = StudyFold::default();
         for (index, (pcap_path, manifest)) in manifests.into_iter().enumerate() {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pipeline::analyze_saved_call(&pcap_path, &manifest, config, chunk_records)
-            }));
             // A broken or poisoned capture is recorded and skipped; the
             // remaining calls still produce a report.
-            let error = match outcome {
-                Ok(Ok((analysis, call_stats))) => {
-                    analyzed += 1;
-                    stats.absorb(&call_stats);
-                    absorb_analysis(&mut aggregate, &mut stats, analysis, &config.obs);
+            let outcome = contain(|| pipeline::analyze_saved_call(&pcap_path, &manifest, config, chunk_records))
+                .and_then(|analyzed| analyzed.map_err(|e| e.to_string()));
+            let call =
+                |app: &str| format!("[{}/{total}] {app} / {} #{}", index + 1, manifest.network, manifest.repeat);
+            match outcome {
+                Ok((analysis, call_stats)) => {
+                    fold.absorb(analysis, &call_stats, &config.obs);
                     if let Some(w) = progress.as_deref_mut() {
-                        writeln!(
-                            w,
-                            "[{}/{}] {} / {} #{}: {}",
-                            index + 1,
-                            total,
-                            manifest.application().name(),
-                            manifest.network,
-                            manifest.repeat,
-                            call_stats.summary_line()
-                        )?;
-                        if metrics_every > 0 && analyzed.is_multiple_of(metrics_every as u64) {
+                        writeln!(w, "{}: {}", call(manifest.application().name()), call_stats.summary_line())?;
+                        if metrics_every > 0 && fold.aggregate.len().is_multiple_of(metrics_every) {
                             writeln!(w, "{}", metrics_progress_line(&config.obs.snapshot()))?;
                         }
                     }
-                    continue;
                 }
-                Ok(Err(io_err)) => io_err.to_string(),
-                Err(panic) => panic_message(panic.as_ref()),
-            };
-            if let Some(w) = progress.as_deref_mut() {
-                writeln!(
-                    w,
-                    "[{}/{}] {} / {} #{}: FAILED: {error}",
-                    index + 1,
-                    total,
-                    manifest.app,
-                    manifest.network,
-                    manifest.repeat
-                )?;
+                Err(error) => {
+                    if let Some(w) = progress.as_deref_mut() {
+                        writeln!(w, "{}: FAILED: {error}", call(&manifest.app))?;
+                    }
+                    fold.fail(index, &manifest, error);
+                }
             }
-            failures.push(FailedCall {
-                index,
-                app: manifest.application().name().to_string(),
-                network: manifest.network.clone(),
-                error,
-            });
         }
-        record_study_totals(&config.obs, analyzed, failures.len() as u64);
         drop(_study_span);
-        Ok(StudyReport::seal(aggregate, stats, failures, config.obs.snapshot()))
+        Ok(fold.finish_study(&config.obs))
     }
 }
 
@@ -515,17 +526,6 @@ fn metrics_progress_line(snap: &rtc_obs::Snapshot) -> String {
         snap.counter_family_total("rtc_dpi_rejected_datagrams_total"),
         peak,
     )
-}
-
-/// Best-effort text of a caught panic payload.
-pub fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
 }
 
 #[cfg(test)]
@@ -574,7 +574,7 @@ mod tests {
 
     #[test]
     fn artifacts_index_their_renderers() {
-        let report = StudyReport::seal(Default::default(), Default::default(), Vec::new(), Default::default());
+        let report = StudyFold::default().seal(Default::default());
         for (i, artifact) in Artifact::ALL.into_iter().enumerate() {
             assert_eq!(artifact as usize, i);
             let name = format!("{artifact:?}");

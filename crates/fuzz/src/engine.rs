@@ -6,7 +6,6 @@ use crate::target::{RunOutcome, Target};
 use rtc_conformance::{minimize_input, mutate, SplitMix64};
 use rtc_cov::MAP_SIZE;
 use std::collections::BTreeSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Serializes whole fuzz runs within the process. The rtc-cov hit map is
@@ -172,21 +171,11 @@ fn merge_virgin(virgin: &mut [u8; MAP_SIZE], map: &[u8; MAP_SIZE]) -> bool {
     new
 }
 
-fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Reset the map, run the target under `catch_unwind`, snapshot the
+/// Reset the map, run the target under [`rtc_core::contain`], snapshot the
 /// bucketed map into `map`, and return the outcome plus the signature.
 fn execute(target: Target, bytes: &[u8], map: &mut [u8; MAP_SIZE]) -> (Result<RunOutcome, String>, u64) {
     rtc_cov::reset();
-    let out = catch_unwind(AssertUnwindSafe(|| target.run(bytes))).map_err(panic_message);
+    let out = rtc_core::contain(|| target.run(bytes));
     rtc_cov::classified(map);
     (out, signature(map))
 }

@@ -188,7 +188,7 @@ impl Target {
     }
 
     /// Execute the target once over `bytes`. Panics (the crash oracle)
-    /// propagate to the engine's `catch_unwind`.
+    /// propagate to the engine, which contains them with [`rtc_core::contain`].
     pub fn run(self, bytes: &[u8]) -> RunOutcome {
         if let Some(parser) = self.parser() {
             walk_sub_parsers(parser, bytes);

@@ -341,10 +341,12 @@ pub struct AggregateReport {
 /// complete, keeping each as a [`CallSummary`], so a streaming driver
 /// retains neither per-call dissections nor judged messages.
 ///
-/// The batch driver produces the identical result by absorbing every call
-/// in input order and calling [`Aggregator::finish`] once — cross-call
-/// analyses (SSRC reuse per `(app, network)` cell) run at finish time over
-/// the compact SSRC inventories.
+/// Absorbing and merging are order-invariant up to the order of the calls,
+/// which [`Aggregator::finish`] sorts, so every driver produces the
+/// identical result whatever order its calls complete in: the batch
+/// driver's workers each absorb their calls as they finish and merge at
+/// the end. Cross-call analyses (SSRC reuse per `(app, network)` cell) run
+/// at finish time over the compact SSRC inventories.
 #[derive(Debug, Clone, Default)]
 pub struct Aggregator {
     calls: Vec<CallSummary>,

@@ -7,9 +7,8 @@
 //! other shards are scheduled. Each shard owns:
 //!
 //! * its live [`CallSession`]s (the streaming pipeline state machines),
-//! * a per-tenant partial [`rtc_report::Aggregator`] absorbing finished
-//!   sessions through the same [`rtc_core::absorb_analysis`] path the
-//!   batch and streaming drivers use,
+//! * a per-tenant [`StudyFold`] absorbing finished sessions through the
+//!   same [`StudyFold::absorb`] the batch and streaming drivers use,
 //! * a bounded ingest queue (`std::sync::mpsc::sync_channel`): when the
 //!   shard falls behind, `send` blocks the sources feeding it —
 //!   backpressure, not buffering,
@@ -17,19 +16,19 @@
 //!   times out at each sweep deadline and the worker finishes its own
 //!   idle sessions, so no other thread touches the shard.
 //!
-//! Reports merge shard-partial aggregators per tenant
-//! ([`rtc_report::Aggregator::merge`] is order-invariant) and seal them
-//! with [`StudyReport::seal`], whose `finish` puts the calls in canonical
-//! order, so the merged result is byte-identical to analyzing each
-//! tenant's calls offline in one batch — the differential suite in
-//! `tests/` proves it across shard counts and interleavings.
+//! A report merges the tenant's shard folds ([`StudyFold::merge`] is
+//! order-invariant) and seals them with [`StudyFold::seal`], which puts
+//! the calls in canonical order, so the merged result is byte-identical to
+//! analyzing each tenant's calls offline in one batch — the differential
+//! suite in `tests/` proves it across shard counts and interleavings. A
+//! live read clones only the folds of the tenant asked for; shutdown
+//! merges the joined shards' folds by value.
 
 use rtc_capture::CallManifest;
 use rtc_core::pipeline::{CallMeta, CallSession, PipelineStats};
-use rtc_core::{StudyConfig, StudyReport};
+use rtc_core::{contain, StudyConfig, StudyFold, StudyReport};
 use rtc_pcap::trace::Record;
-use rtc_report::Aggregator;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::Read;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
@@ -116,17 +115,15 @@ struct LiveSession {
     last_activity: Instant,
 }
 
-/// One tenant's partial aggregation with its pipeline counters, absorbed
-/// and sealed together, so a tenant's report carries its own calls' stats
-/// (the batch driver's convention), not the engine-wide mixture.
-pub(crate) type TenantPartial = (Aggregator, PipelineStats);
-
 /// Mutable per-shard state. The shard worker takes the lock once per
-/// message; report endpoints take it briefly to clone the partials.
+/// message; a report read takes it briefly to clone one tenant's fold.
 #[derive(Default)]
 struct ShardState {
     sessions: HashMap<SessionKey, LiveSession>,
-    tenants: BTreeMap<String, TenantPartial>,
+    /// Each tenant's finished calls on this shard. A tenant's report
+    /// carries its own calls' stats (the batch driver's convention), not
+    /// the engine-wide mixture.
+    tenants: BTreeMap<String, StudyFold>,
     errors: Vec<SessionError>,
     opened: u64,
     finished: u64,
@@ -273,18 +270,8 @@ impl Engine {
     /// Open a session. Validates the manifest's app slug and network
     /// label before admitting it.
     pub fn open(&self, key: SessionKey, manifest: CallManifest) -> std::io::Result<()> {
-        if rtc_apps::Application::from_slug(&manifest.app).is_none() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("unknown application slug {:?}", manifest.app),
-            ));
-        }
-        if rtc_netemu::NetworkConfig::from_label(&manifest.network).is_none() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("unknown network label {:?}", manifest.network),
-            ));
-        }
+        rtc_capture::check_names(std::slice::from_ref(&manifest.app), std::slice::from_ref(&manifest.network))
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         self.shard_of(&key).send(ShardMsg::Open { key, manifest })
     }
 
@@ -347,16 +334,43 @@ impl Engine {
         status
     }
 
-    /// Point-in-time per-tenant reports: shard partials merged per tenant
-    /// and sealed, with canonical call order. Live sessions are not
-    /// included (they have not finished); a tenant whose sessions all
-    /// errored still reports, with empty data and populated `failures`.
-    pub fn tenant_reports(&self) -> BTreeMap<String, StudyReport> {
-        summarize(self.shards.iter().map(|shard| shard.state.as_ref())).reports
+    /// Point-in-time report of one tenant: its shard folds merged and
+    /// sealed, with canonical call order. Live sessions are not included
+    /// (they have not finished); a tenant whose sessions all errored still
+    /// reports, with empty data and populated `failures`. `None` for a
+    /// tenant the engine has not seen.
+    pub fn tenant_report(&self, tenant: &str) -> Option<StudyReport> {
+        let mut fold: Option<StudyFold> = None;
+        let mut errors = Vec::new();
+        for shard in &self.shards {
+            let st = shard.state.lock().expect("shard state poisoned");
+            if let Some(part) = st.tenants.get(tenant) {
+                fold.get_or_insert_default().merge(part.clone());
+            }
+            errors.extend(st.errors.iter().filter(|e| e.key.tenant == tenant).cloned());
+        }
+        if fold.is_none() && errors.is_empty() {
+            return None;
+        }
+        Some(seal_report(tenant, fold.unwrap_or_default(), &errors))
+    }
+
+    /// Every tenant with a report so far (finished or errored sessions),
+    /// sorted.
+    pub fn tenants(&self) -> Vec<String> {
+        let mut tenants = BTreeSet::new();
+        for shard in &self.shards {
+            let st = shard.state.lock().expect("shard state poisoned");
+            tenants.extend(st.tenants.keys().cloned());
+            tenants.extend(st.errors.iter().map(|e| e.key.tenant.clone()));
+        }
+        tenants.into_iter().collect()
     }
 
     /// Stop ingesting, finish every live session, join the workers, and
-    /// seal the per-tenant reports.
+    /// seal the per-tenant reports. Engine-wide stats fold over the
+    /// tenants' folds: stage counters add, the residency high-water mark
+    /// takes the max.
     pub fn shutdown(self) -> ServiceSummary {
         // Each shard's only sender drops with the rest of its `Shard`,
         // closing the queue; the worker drains pending messages, finishes
@@ -366,56 +380,50 @@ impl Engine {
         for worker in workers {
             let _ = worker.join();
         }
-        summarize(states.iter().map(Arc::as_ref))
-    }
-}
-
-/// Merge shard partials per tenant and seal one report per tenant (a
-/// tenant whose sessions all errored still reports). Engine-wide stats
-/// fold over the per-tenant partials: stage counters add, the residency
-/// high-water mark takes the max.
-fn summarize<'a>(states: impl Iterator<Item = &'a Mutex<ShardState>>) -> ServiceSummary {
-    let mut merged: BTreeMap<String, TenantPartial> = BTreeMap::new();
-    let mut summary = ServiceSummary::default();
-    for state in states {
-        let st = state.lock().expect("shard state poisoned");
-        for (tenant, (agg, stats)) in &st.tenants {
-            let (into_agg, into_stats) = merged.entry(tenant.clone()).or_default();
-            into_agg.merge(agg.clone());
-            into_stats.absorb(stats);
+        let mut tenants: BTreeMap<String, StudyFold> = BTreeMap::new();
+        let mut summary = ServiceSummary::default();
+        for state in states {
+            // The joined worker dropped its handle, so the state is ours.
+            let st = Arc::into_inner(state)
+                .expect("shard state shared after its worker joined")
+                .into_inner()
+                .expect("shard state poisoned");
+            for (tenant, fold) in st.tenants {
+                tenants.entry(tenant).or_default().merge(fold);
+            }
+            summary.errors.extend(st.errors);
+            summary.finished += st.finished;
+            summary.evicted += st.evicted;
         }
-        summary.errors.extend(st.errors.iter().cloned());
-        summary.finished += st.finished;
-        summary.evicted += st.evicted;
+        for e in &summary.errors {
+            tenants.entry(e.key.tenant.clone()).or_default();
+        }
+        for fold in tenants.values() {
+            summary.stats.absorb(&fold.stats);
+        }
+        summary.reports = tenants
+            .into_iter()
+            .map(|(tenant, fold)| {
+                let report = seal_report(&tenant, fold, &summary.errors);
+                (tenant, report)
+            })
+            .collect();
+        summary
     }
-    for e in &summary.errors {
-        merged.entry(e.key.tenant.clone()).or_default();
-    }
-    for (_, stats) in merged.values() {
-        summary.stats.absorb(stats);
-    }
-    summary.reports = merged
-        .into_iter()
-        .map(|(tenant, (agg, stats))| {
-            let report = seal_report(&tenant, agg, stats, &summary.errors);
-            (tenant, report)
-        })
-        .collect();
-    summary
 }
 
-/// Seal one tenant's merged aggregation into a renderable [`StudyReport`].
-/// `stats` is the tenant's own pipeline counters (not the engine-wide
-/// mixture), and the tenant's session errors surface as `failures`
-/// carrying the manifest's app/network like the batch driver's. The live
-/// service has no global input order, so `FailedCall::index` is the
-/// position in the tenant's canonically sorted failure list — also
+/// Seal one tenant's merged fold into a renderable [`StudyReport`]. The
+/// fold's stats are the tenant's own pipeline counters (not the
+/// engine-wide mixture), and the tenant's session errors surface as
+/// `failures` carrying the manifest's app/network like the batch driver's.
+/// The live service has no global input order, so `FailedCall::index` is
+/// the position in the tenant's canonically sorted failure list — also
 /// shard-scheduling-independent; call-level identity stays available on
 /// [`ServiceSummary::errors`].
-fn seal_report(tenant: &str, agg: Aggregator, stats: PipelineStats, errors: &[SessionError]) -> StudyReport {
+fn seal_report(tenant: &str, mut fold: StudyFold, errors: &[SessionError]) -> StudyReport {
     let mut failed: Vec<&SessionError> = errors.iter().filter(|e| e.key.tenant == tenant).collect();
     failed.sort_by(|a, b| (&a.app, &a.network, &a.key.call_id).cmp(&(&b.app, &b.network, &b.key.call_id)));
-    let failures = failed
+    fold.failures = failed
         .into_iter()
         .enumerate()
         .map(|(i, e)| rtc_core::FailedCall {
@@ -425,7 +433,7 @@ fn seal_report(tenant: &str, agg: Aggregator, stats: PipelineStats, errors: &[Se
             error: e.error.clone(),
         })
         .collect();
-    StudyReport::seal(agg, stats, failures, rtc_obs::Snapshot::default())
+    fold.seal(rtc_obs::Snapshot::default())
 }
 
 /// One shard's worker thread: everything it owns besides its receiver.
@@ -509,12 +517,9 @@ impl ShardWorker {
                     }),
                     Some(live) => {
                         live.last_activity = Instant::now();
-                        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            live.session.push_records(records);
-                        }));
+                        let outcome = contain(|| live.session.push_records(records));
                         gauges.records.add(n);
-                        if let Err(panic) = outcome {
-                            let error = rtc_core::panic_message(panic.as_ref());
+                        if let Err(error) = outcome {
                             let meta = live.session.meta().clone();
                             st.sessions.remove(&key);
                             st.errors.push(SessionError { key, app: meta.app, network: meta.network, error });
@@ -566,16 +571,10 @@ impl ShardWorker {
 
 fn finish_session(st: &mut ShardState, key: SessionKey, live: LiveSession, study: &StudyConfig) {
     let meta = live.session.meta().clone();
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| live.session.finish()));
-    match outcome {
+    match contain(|| live.session.finish()) {
         Ok((analysis, call_stats)) => {
-            let (agg, stats) = st.tenants.entry(key.tenant).or_default();
-            stats.absorb(&call_stats);
-            rtc_core::absorb_analysis(agg, stats, analysis, &study.obs);
+            st.tenants.entry(key.tenant).or_default().absorb(analysis, &call_stats, &study.obs)
         }
-        Err(panic) => {
-            let error = rtc_core::panic_message(panic.as_ref());
-            st.errors.push(SessionError { key, app: meta.app, network: meta.network, error });
-        }
+        Err(error) => st.errors.push(SessionError { key, app: meta.app, network: meta.network, error }),
     }
 }

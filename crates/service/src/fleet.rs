@@ -11,7 +11,7 @@
 //! calls interleave in one global virtual-time order that is reproducible
 //! run to run.
 
-use crate::engine::{Engine, SessionKey, TenantPartial};
+use crate::engine::{Engine, SessionKey};
 use rtc_apps::{Application, CallScenario};
 use rtc_capture::CallCapture;
 use rtc_netemu::fleet::{FleetPlan, ScheduledCall};
@@ -172,18 +172,11 @@ pub fn batch_reports(
     opts: &FleetDriveOptions,
     study: &rtc_core::StudyConfig,
 ) -> std::io::Result<std::collections::BTreeMap<String, rtc_core::StudyReport>> {
-    let mut per_tenant: std::collections::BTreeMap<String, TenantPartial> = Default::default();
+    let mut per_tenant: std::collections::BTreeMap<String, rtc_core::StudyFold> = Default::default();
     for call in &plan.calls {
         let capture = materialize(call, opts)?;
         let (analysis, call_stats) = rtc_core::analyze_capture_staged(&capture, study);
-        let (agg, stats) = per_tenant.entry(call.tenant.clone()).or_default();
-        stats.absorb(&call_stats);
-        rtc_core::absorb_analysis(agg, stats, analysis, &study.obs);
+        per_tenant.entry(call.tenant.clone()).or_default().absorb(analysis, &call_stats, &study.obs);
     }
-    Ok(per_tenant
-        .into_iter()
-        .map(|(tenant, (agg, stats))| {
-            (tenant, rtc_core::StudyReport::seal(agg, stats, Vec::new(), rtc_obs::Snapshot::default()))
-        })
-        .collect())
+    Ok(per_tenant.into_iter().map(|(tenant, fold)| (tenant, fold.seal(rtc_obs::Snapshot::default()))).collect())
 }

@@ -26,10 +26,10 @@
 //!   sweeps its own sessions from a timed receive; there is no sweeper
 //!   thread.
 //! * **Per-tenant incremental aggregation** — finished sessions fold into
-//!   per-shard per-tenant [`rtc_report::Aggregator`]s; report endpoints
-//!   merge the shard partials (order-invariant) and seal them, which puts
-//!   the calls in canonical order: that is what makes live output
-//!   comparable byte for byte with offline batch analysis.
+//!   per-shard per-tenant [`rtc_core::StudyFold`]s; a report read merges
+//!   the asked-for tenant's shard folds (order-invariant) and seals them,
+//!   which puts the calls in canonical order: that is what makes live
+//!   output comparable byte for byte with offline batch analysis.
 //! * **HTTP surface** ([`server`]) — `POST /ingest`, Prometheus/JSON
 //!   scrape routes, live per-tenant reports, graceful `POST /shutdown`;
 //!   [`signal`] wires SIGINT/SIGTERM to the same graceful path.

@@ -71,13 +71,10 @@ impl Handler for ServiceHandler {
                     .to_string(),
                 )
             }
-            ("GET", "/tenants") => {
-                let tenants: Vec<String> = self.engine.tenant_reports().into_keys().collect();
-                Response::json(serde_json::json!(tenants).to_string())
-            }
+            ("GET", "/tenants") => Response::json(serde_json::json!(self.engine.tenants()).to_string()),
             ("GET", path) if path.starts_with("/report/") => {
                 let tenant = &path["/report/".len()..];
-                match self.engine.tenant_reports().get(tenant) {
+                match self.engine.tenant_report(tenant) {
                     Some(report) => Response::text(report.render_all()),
                     None => Response::error(404, format!("unknown tenant {tenant:?}\n")),
                 }

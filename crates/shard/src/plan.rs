@@ -207,11 +207,17 @@ impl CorpusPlan {
             .and_then(Value::as_u64)
             .filter(|s| *s > 0)
             .ok_or_else(|| invalid(path, format_args!("missing or zero shard count")))? as usize;
-        let experiment =
+        let experiment: ExperimentConfig =
             v.get("experiment").ok_or_else(|| invalid(path, format_args!("missing experiment"))).and_then(|e| {
                 serde_json::from_value(e.clone())
                     .map_err(|d| invalid(path, format_args!("bad experiment config ({d})")))
             })?;
+        // One fixed probe, not `invalid`'s per-message one: the message
+        // names the unknown app or network, which the fuzzer varies freely.
+        rtc_core::capture::check_names(&experiment.apps, &experiment.networks).map_err(|e| {
+            rtc_cov::probe!("shard.plan.unknown-name");
+            io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", path.display()))
+        })?;
         rtc_cov::probe!("shard.plan.accept");
         Ok(CorpusPlan { tier, shards, experiment })
     }
@@ -292,6 +298,18 @@ mod tests {
         std::fs::write(CorpusPlan::path(&dir), serde_json::to_string(&v).unwrap()).unwrap();
         let e = CorpusPlan::load(&dir).unwrap_err();
         assert!(e.to_string().contains("version"), "{e}");
+
+        // Unknown names are rejected, not skipped into an empty campaign.
+        for (field, name, message) in
+            [("apps", "zom", "unknown app 'zom'"), ("networks", "wifi", "unknown network 'wifi'")]
+        {
+            let mut v = plan().to_json();
+            v["experiment"][field] = serde_json::json!([name]);
+            std::fs::write(CorpusPlan::path(&dir), serde_json::to_string(&v).unwrap()).unwrap();
+            let e = CorpusPlan::load(&dir).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            assert!(e.to_string().contains(message), "{e}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -13,8 +13,8 @@
 //! continues as if never interrupted.
 //!
 //! The merge step validates every shard's final snapshot header, folds
-//! the aggregators in shard order through the commutative
-//! `Aggregator::merge`, and seals a `StudyReport` whose rendering is
+//! the shards' aggregations in shard order through the commutative
+//! `StudyFold::merge`, and seals a `StudyReport` whose rendering is
 //! byte-identical to a single-process batch run of the same plan — the
 //! property the `study-scale` and `checkpoint-resume` CI jobs pin.
 
@@ -22,7 +22,7 @@ use crate::checkpoint::{CheckpointHeader, ShardCheckpoint};
 use crate::plan::CorpusPlan;
 use rtc_core::capture::{save_call, scenario_for};
 use rtc_core::pipeline::{self, StageKind};
-use rtc_core::{absorb_analysis, FailedCall, StreamingStudy, StudyConfig, StudyReport};
+use rtc_core::{absorb_analysis, contain, FailedCall, StreamingStudy, StudyConfig, StudyFold, StudyReport};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -152,10 +152,7 @@ pub fn run_shard(dir: &Path, shard: usize, options: &ShardOptions) -> io::Result
         let manifest = cap.manifest.clone();
         drop(cap); // Only the on-disk copy feeds analysis, chunk by chunk.
 
-        let analyzed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pipeline::analyze_saved_call(&pcap_path, &manifest, &config, options.chunk_records)
-        }));
-        match analyzed {
+        match contain(|| pipeline::analyze_saved_call(&pcap_path, &manifest, &config, options.chunk_records)) {
             Ok(Ok((analysis, call_stats))) => {
                 if options.oracle_sample > 0 && ordinal % options.oracle_sample == 0 {
                     let scenario = format!("{}/{}#{}", manifest.app, manifest.network, manifest.repeat);
@@ -177,14 +174,7 @@ pub fn run_shard(dir: &Path, shard: usize, options: &ShardOptions) -> io::Result
             Ok(Err(e)) => {
                 return Err(io::Error::other(format!("shard {shard}: call {stem}: {e}")));
             }
-            Err(panic) => {
-                state.failures.push(FailedCall {
-                    index: planned.index,
-                    app: manifest.application().name().to_string(),
-                    network: manifest.network.clone(),
-                    error: rtc_core::panic_message(panic.as_ref()),
-                });
-            }
+            Err(error) => state.failures.push(FailedCall::of(planned.index, &manifest, error)),
         }
         state.cursor = ordinal + 1;
 
@@ -294,9 +284,7 @@ pub fn merge_shards(dir: &Path) -> io::Result<MergedStudy> {
         )));
     }
 
-    let mut merged = rtc_core::report::Aggregator::new();
-    let mut stats = pipeline::PipelineStats::default();
-    let mut failures = Vec::new();
+    let mut fold = StudyFold::default();
     let mut shards = Vec::with_capacity(states.len());
     let mut oracle_calls = 0;
     let mut oracle_messages = 0;
@@ -310,11 +298,9 @@ pub fn merge_shards(dir: &Path) -> io::Result<MergedStudy> {
         });
         oracle_calls += state.oracle_calls;
         oracle_messages += state.oracle_messages;
-        stats.absorb(&state.stats);
-        failures.extend(state.failures);
-        merged.merge(state.aggregator);
+        fold.merge(StudyFold { aggregate: state.aggregator, stats: state.stats, failures: state.failures });
     }
-    let report = StudyReport::seal(merged, stats, failures, Default::default());
+    let report = fold.seal(Default::default());
     Ok(MergedStudy { report, shards, oracle_calls, oracle_messages })
 }
 

@@ -159,7 +159,9 @@ fn analyze_corrupt_capture_exits_one() {
     let out = run(&["analyze", dir.to_str().unwrap(), "--stream"]);
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
     let text = stdout(&out);
-    assert!(text.contains("FAILED"), "{text}");
+    // The progress line names the call by its display name, as the
+    // report's failure list does.
+    assert!(text.contains("[1/1] Zoom / wifi-relay #0: FAILED: "), "{text}");
     assert!(text.contains("call(s) failed analysis"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }

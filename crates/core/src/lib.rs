@@ -486,13 +486,18 @@ impl StreamingStudy {
             // remaining calls still produce a report.
             let outcome = contain(|| pipeline::analyze_saved_call(&pcap_path, &manifest, config, chunk_records))
                 .and_then(|analyzed| analyzed.map_err(|e| e.to_string()));
-            let call =
-                |app: &str| format!("[{}/{total}] {app} / {} #{}", index + 1, manifest.network, manifest.repeat);
+            let call = format!(
+                "[{}/{total}] {} / {} #{}",
+                index + 1,
+                manifest.application().name(),
+                manifest.network,
+                manifest.repeat
+            );
             match outcome {
                 Ok((analysis, call_stats)) => {
                     fold.absorb(analysis, &call_stats, &config.obs);
                     if let Some(w) = progress.as_deref_mut() {
-                        writeln!(w, "{}: {}", call(manifest.application().name()), call_stats.summary_line())?;
+                        writeln!(w, "{call}: {}", call_stats.summary_line())?;
                         if metrics_every > 0 && fold.aggregate.len().is_multiple_of(metrics_every) {
                             writeln!(w, "{}", metrics_progress_line(&config.obs.snapshot()))?;
                         }
@@ -500,7 +505,7 @@ impl StreamingStudy {
                 }
                 Err(error) => {
                     if let Some(w) = progress.as_deref_mut() {
-                        writeln!(w, "{}: FAILED: {error}", call(&manifest.app))?;
+                        writeln!(w, "{call}: FAILED: {error}")?;
                     }
                     fold.fail(index, &manifest, error);
                 }

@@ -13,30 +13,89 @@
 
 use crate::net::PathProfile;
 use crate::rng::DetRng;
+use bytes::Bytes;
 use rtc_pcap::{LinkType, Record, Timestamp, Trace};
-use rtc_wire::ip::{build_ethernet_packet, FiveTuple};
+use rtc_wire::ip::{ethernet_frame_len, tcp_seq_offset, write_ethernet_packet, FiveTuple, Transport};
 use std::collections::HashMap;
 
+/// Size of the buffers frames are rendered into. A frame larger than this
+/// gets a buffer of its own.
+const CHUNK_BYTES: usize = 64 << 10;
+
+/// Where one captured frame sits in the sink's chunks.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    ts: Timestamp,
+    /// Index into the sink's interned tuples.
+    tuple: u32,
+    chunk: u32,
+    offset: u32,
+    len: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Frame>() == 24);
+
 /// Collects emulated packets and renders a pcap trace.
+///
+/// Each pushed packet is framed (Ethernet, IP and UDP/TCP headers, then
+/// the payload) straight into 64 KiB chunks, its one copy, and the model's
+/// payload is dropped at once; the sink keeps a 24-byte index entry per
+/// packet. [`TrafficSink::finish`] orders the index, fills in TCP sequence
+/// numbers in capture order, and hands every record out as a view of its
+/// chunk, so the trace costs one allocation per chunk, not per packet.
 #[derive(Debug)]
 pub struct TrafficSink {
     profile: PathProfile,
     rng: DetRng,
-    events: Vec<(Timestamp, FiveTuple, Vec<u8>)>,
-    tcp_seq: HashMap<FiveTuple, u32>,
+    chunks: Vec<Vec<u8>>,
+    frames: Vec<Frame>,
+    tuples: Vec<FiveTuple>,
+    tuple_ids: HashMap<FiveTuple, u32>,
     dropped: u64,
 }
 
 impl TrafficSink {
     /// Create a sink for one call experiment.
     pub fn new(profile: PathProfile, rng: DetRng) -> TrafficSink {
-        TrafficSink { profile, rng, events: Vec::new(), tcp_seq: HashMap::new(), dropped: 0 }
+        TrafficSink {
+            profile,
+            rng,
+            chunks: Vec::new(),
+            frames: Vec::new(),
+            tuples: Vec::new(),
+            tuple_ids: HashMap::new(),
+            dropped: 0,
+        }
     }
 
     /// Capture a packet unconditionally (control traffic, keepalives —
     /// anything whose count the emulation must preserve exactly).
     pub fn push(&mut self, ts: Timestamp, tuple: FiveTuple, payload: Vec<u8>) {
-        self.events.push((ts, tuple, payload));
+        // Models push runs of one stream, so the previous packet's tuple
+        // spares most lookups.
+        let id = match self.frames.last() {
+            Some(last) if self.tuples[last.tuple as usize] == tuple => last.tuple,
+            _ => {
+                let next = self.tuples.len() as u32;
+                let id = *self.tuple_ids.entry(tuple).or_insert(next);
+                if id == next {
+                    self.tuples.push(tuple);
+                }
+                id
+            }
+        };
+        let len = ethernet_frame_len(&tuple, payload.len());
+        if self.chunks.last().is_none_or(|c| c.capacity() - c.len() < len) {
+            self.chunks.push(Vec::with_capacity(len.max(CHUNK_BYTES)));
+        }
+        let chunk = self.chunks.len() - 1;
+        let buf = &mut self.chunks[chunk];
+        let offset = buf.len();
+        // The sequence number is filled in by `finish`, once capture order
+        // is known.
+        write_ethernet_packet(buf, &tuple, &payload, 0);
+        let index = |n: usize| u32::try_from(n).expect("capture index fits in 32 bits");
+        self.frames.push(Frame { ts, tuple: id, chunk: index(chunk), offset: index(offset), len: index(len) });
     }
 
     /// Capture a packet subject to the path's loss process (bulk media).
@@ -68,25 +127,46 @@ impl TrafficSink {
 
     /// Number of captured events so far.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.frames.len()
     }
 
     /// Whether nothing has been captured.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.frames.is_empty()
     }
 
-    /// Render the capture: sort by time and frame every event.
+    /// Render the capture: order the frames by `(time, tuple)`, keeping
+    /// push order among equal keys; number each TCP stream's segments in
+    /// that order, starting at 1 and advancing by the payload length (at
+    /// least 1); then freeze the chunks and return every frame as a view.
     pub fn finish(mut self) -> Trace {
-        self.events.sort_by_key(|(ts, tuple, _)| (*ts, *tuple));
-        let mut trace = Trace { link_type: LinkType::Ethernet, records: Vec::with_capacity(self.events.len()) };
-        for (ts, tuple, payload) in self.events {
-            let seq = self.tcp_seq.entry(tuple).or_insert(1);
-            let frame = build_ethernet_packet(&tuple, &payload, *seq);
-            *seq = seq.wrapping_add(payload.len().max(1) as u32);
-            trace.records.push(Record { ts, data: frame.into() });
+        let tuples = &self.tuples;
+        // Stable, and the tuples are compared only between equal times.
+        self.frames
+            .sort_by(|a, b| a.ts.cmp(&b.ts).then_with(|| tuples[a.tuple as usize].cmp(&tuples[b.tuple as usize])));
+
+        let mut next_seq = vec![1u32; tuples.len()];
+        for f in &self.frames {
+            let tuple = &tuples[f.tuple as usize];
+            if tuple.transport == Transport::Tcp {
+                let seq = &mut next_seq[f.tuple as usize];
+                let at = f.offset as usize + tcp_seq_offset(tuple);
+                self.chunks[f.chunk as usize][at..at + 4].copy_from_slice(&seq.to_be_bytes());
+                let payload_len = f.len as usize - ethernet_frame_len(tuple, 0);
+                *seq = seq.wrapping_add(payload_len.max(1) as u32);
+            }
         }
-        trace
+
+        let chunks: Vec<Bytes> = self.chunks.into_iter().map(Bytes::from).collect();
+        let records = self
+            .frames
+            .iter()
+            .map(|f| {
+                let start = f.offset as usize;
+                Record { ts: f.ts, data: chunks[f.chunk as usize].slice(start..start + f.len as usize) }
+            })
+            .collect();
+        Trace { link_type: LinkType::Ethernet, records }
     }
 }
 

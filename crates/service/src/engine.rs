@@ -76,6 +76,15 @@ pub struct SessionError {
     pub error: String,
 }
 
+impl SessionError {
+    /// Whether the error belongs to a call: it came after the session's
+    /// manifest, so it names an application. Records or a finish for an
+    /// unknown session key belong to none.
+    pub fn belongs_to_call(&self) -> bool {
+        !self.app.is_empty()
+    }
+}
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -416,12 +425,16 @@ impl Engine {
 /// fold's stats are the tenant's own pipeline counters (not the
 /// engine-wide mixture), and the tenant's session errors surface as
 /// `failures` carrying the manifest's app/network like the batch driver's.
+/// An error that belongs to no call ([`SessionError::belongs_to_call`]) is
+/// not an excluded call, so it stays out of `failures`; it is still counted
+/// in [`EngineStatus::errors`] and listed in [`ServiceSummary::errors`].
 /// The live service has no global input order, so `FailedCall::index` is
 /// the position in the tenant's canonically sorted failure list — also
 /// shard-scheduling-independent; call-level identity stays available on
 /// [`ServiceSummary::errors`].
 fn seal_report(tenant: &str, mut fold: StudyFold, errors: &[SessionError]) -> StudyReport {
-    let mut failed: Vec<&SessionError> = errors.iter().filter(|e| e.key.tenant == tenant).collect();
+    let mut failed: Vec<&SessionError> =
+        errors.iter().filter(|e| e.key.tenant == tenant && e.belongs_to_call()).collect();
     failed.sort_by(|a, b| (&a.app, &a.network, &a.key.call_id).cmp(&(&b.app, &b.network, &b.key.call_id)));
     fold.failures = failed
         .into_iter()

@@ -54,10 +54,12 @@ fn tenant_whose_only_session_errored_is_listed_reported_and_summarized() {
     let tenants: Vec<String> = serde_json::from_str(&tenants).unwrap();
     assert_eq!(tenants, ["broken", "healthy"]);
 
+    // Records for a session never opened belong to no call: the tenant
+    // reports, but lists no excluded call.
     let (status, live) = http_get(addr, "/report/broken").unwrap();
     assert_eq!(status, 200, "{live}");
-    assert!(live.contains("== Analysis failures (calls excluded from the tables) =="), "{live}");
-    assert!(live.contains("call 0 ( / ): records for unknown session"), "{live}");
+    assert!(!live.contains("Analysis failures"), "{live}");
+    assert!(!live.contains("records for unknown session"), "{live}");
     let (_, healthy_live) = http_get(addr, "/report/healthy").unwrap();
     assert!(!healthy_live.contains("Analysis failures"), "{healthy_live}");
 
@@ -67,7 +69,13 @@ fn tenant_whose_only_session_errored_is_listed_reported_and_summarized() {
     assert_eq!(summary.reports.keys().collect::<Vec<_>>(), ["broken", "healthy"]);
     let broken = &summary.reports["broken"];
     assert!(broken.data.calls.is_empty());
-    assert_eq!(broken.failures.len(), 1);
+    assert!(broken.failures.is_empty());
+    assert_eq!(summary.errors.len(), 1);
+    assert_eq!(
+        (summary.errors[0].key.tenant.as_str(), summary.errors[0].error.as_str()),
+        ("broken", "records for unknown session")
+    );
+    assert!(!summary.errors[0].belongs_to_call());
     assert_eq!(broken.render_all(), live, "the sealed report differs from the live read");
     assert_eq!(summary.reports["healthy"].render_all(), healthy_live);
     assert_eq!(summary.reports["healthy"].data.calls.len(), 1);

@@ -156,30 +156,107 @@ pub struct ParsedPacket<'a> {
     pub payload: &'a [u8],
 }
 
-/// Build an Ethernet-framed packet for `tuple` carrying `payload`.
+/// Longest header [`write_ethernet_packet`] emits: Ethernet, IPv6, TCP.
+const MAX_HEADER_LEN: usize = ETHERNET_HEADER_LEN + 40 + 20;
+
+fn ip_header_len(tuple: &FiveTuple) -> usize {
+    if tuple.src.is_ipv4() {
+        20
+    } else {
+        40
+    }
+}
+
+fn transport_header_len(transport: Transport) -> usize {
+    match transport {
+        Transport::Udp => 8,
+        Transport::Tcp => 20,
+    }
+}
+
+/// Length of the frame [`write_ethernet_packet`] emits for `tuple`
+/// carrying `payload_len` bytes.
+pub fn ethernet_frame_len(tuple: &FiveTuple, payload_len: usize) -> usize {
+    ETHERNET_HEADER_LEN + ip_header_len(tuple) + transport_header_len(tuple.transport) + payload_len
+}
+
+/// Offset of the 4-byte TCP sequence number within a frame for `tuple`,
+/// so a writer that learns the sequence later can fill it in place.
+pub fn tcp_seq_offset(tuple: &FiveTuple) -> usize {
+    ETHERNET_HEADER_LEN + ip_header_len(tuple) + 4
+}
+
+/// Append the Ethernet frame for `tuple` carrying `payload` to `out`:
+/// exactly [`ethernet_frame_len`] bytes, the headers from a stack buffer
+/// and the payload copied once. Reallocates only when `out` lacks the
+/// room.
 ///
 /// MAC addresses are synthesized from the IP addresses (the study never
-/// inspects them). TCP segments are emitted with the PSH+ACK flags and the
+/// inspects them). IPv4 headers carry no options and a valid checksum;
+/// IPv6 headers carry no extension headers. UDP checksums are zero. TCP
+/// segments are emitted with the PSH+ACK flags, no options and the
 /// provided `tcp_seq` sequence number.
-pub fn build_ethernet_packet(tuple: &FiveTuple, payload: &[u8], tcp_seq: u32) -> Vec<u8> {
-    let transport_bytes = match tuple.transport {
-        Transport::Udp => build_udp(tuple.src.port(), tuple.dst.port(), payload),
-        Transport::Tcp => build_tcp(tuple.src.port(), tuple.dst.port(), tcp_seq, payload),
-    };
-    let (ethertype, ip_bytes) = match (tuple.src.ip(), tuple.dst.ip()) {
+///
+/// # Panics
+/// When the two endpoints are of different address families.
+pub fn write_ethernet_packet(out: &mut Vec<u8>, tuple: &FiveTuple, payload: &[u8], tcp_seq: u32) {
+    let mut h = [0u8; MAX_HEADER_LEN];
+    h[0..6].copy_from_slice(&mac_for(tuple.dst.ip()));
+    h[6..12].copy_from_slice(&mac_for(tuple.src.ip()));
+    let transport_len = transport_header_len(tuple.transport) + payload.len();
+    let protocol = tuple.transport.protocol_number();
+    let ip = ETHERNET_HEADER_LEN;
+    let l4 = match (tuple.src.ip(), tuple.dst.ip()) {
         (IpAddr::V4(s), IpAddr::V4(d)) => {
-            (ETHERTYPE_IPV4, build_ipv4(s, d, tuple.transport.protocol_number(), &transport_bytes))
+            h[12..14].copy_from_slice(&ETHERTYPE_IPV4.to_be_bytes());
+            h[ip] = 0x45; // version 4, IHL 5; DSCP/ECN and identification stay 0
+            h[ip + 2..ip + 4].copy_from_slice(&((20 + transport_len) as u16).to_be_bytes());
+            h[ip + 6] = 0x40; // DF, no fragment offset
+            h[ip + 8] = 64; // TTL
+            h[ip + 9] = protocol;
+            h[ip + 12..ip + 16].copy_from_slice(&s.octets());
+            h[ip + 16..ip + 20].copy_from_slice(&d.octets());
+            let csum = ipv4_checksum(&h[ip..ip + 20]);
+            h[ip + 10..ip + 12].copy_from_slice(&csum.to_be_bytes());
+            ip + 20
         }
         (IpAddr::V6(s), IpAddr::V6(d)) => {
-            (ETHERTYPE_IPV6, build_ipv6(s, d, tuple.transport.protocol_number(), &transport_bytes))
+            h[12..14].copy_from_slice(&ETHERTYPE_IPV6.to_be_bytes());
+            h[ip] = 0x60; // version 6, no traffic class / flow label
+            h[ip + 4..ip + 6].copy_from_slice(&(transport_len as u16).to_be_bytes());
+            h[ip + 6] = protocol;
+            h[ip + 7] = 64; // hop limit
+            h[ip + 8..ip + 24].copy_from_slice(&s.octets());
+            h[ip + 24..ip + 40].copy_from_slice(&d.octets());
+            ip + 40
         }
         _ => panic!("mixed address families in one tuple"),
     };
-    let mut out = Vec::with_capacity(ETHERNET_HEADER_LEN + ip_bytes.len());
-    out.extend_from_slice(&mac_for(tuple.dst.ip()));
-    out.extend_from_slice(&mac_for(tuple.src.ip()));
-    out.extend_from_slice(&ethertype.to_be_bytes());
-    out.extend_from_slice(&ip_bytes);
+    h[l4..l4 + 2].copy_from_slice(&tuple.src.port().to_be_bytes());
+    h[l4 + 2..l4 + 4].copy_from_slice(&tuple.dst.port().to_be_bytes());
+    let end = match tuple.transport {
+        Transport::Udp => {
+            h[l4 + 4..l4 + 6].copy_from_slice(&(transport_len as u16).to_be_bytes());
+            l4 + 8
+        }
+        Transport::Tcp => {
+            h[l4 + 4..l4 + 8].copy_from_slice(&tcp_seq.to_be_bytes()); // ack stays 0
+            h[l4 + 12] = 5 << 4; // data offset 5 words
+            h[l4 + 13] = 0x18; // PSH|ACK
+            h[l4 + 14..l4 + 16].copy_from_slice(&0xFFFFu16.to_be_bytes()); // window
+            l4 + 20
+        }
+    };
+    out.extend_from_slice(&h[..end]);
+    out.extend_from_slice(payload);
+}
+
+/// Build the Ethernet frame for `tuple` carrying `payload` in a vector of
+/// its own: [`write_ethernet_packet`] into an exactly sized buffer. The
+/// capture path writes frames in place instead (`rtc_netemu::TrafficSink`).
+pub fn build_ethernet_packet(tuple: &FiveTuple, payload: &[u8], tcp_seq: u32) -> Vec<u8> {
+    let mut out = Vec::with_capacity(ethernet_frame_len(tuple, payload.len()));
+    write_ethernet_packet(&mut out, tuple, payload, tcp_seq);
     out
 }
 
@@ -225,65 +302,6 @@ fn ipv4_checksum(header: &[u8]) -> u16 {
         sum = (sum & 0xFFFF) + (sum >> 16);
     }
     !(sum as u16)
-}
-
-/// Build an IPv4 packet (20-byte header, no options).
-pub fn build_ipv4(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, payload: &[u8]) -> Vec<u8> {
-    let total_len = 20 + payload.len();
-    let mut h = Vec::with_capacity(total_len);
-    h.push(0x45); // version 4, IHL 5
-    h.push(0); // DSCP/ECN
-    h.extend_from_slice(&(total_len as u16).to_be_bytes());
-    h.extend_from_slice(&[0, 0]); // identification
-    h.extend_from_slice(&[0x40, 0]); // DF, no fragment offset
-    h.push(64); // TTL
-    h.push(protocol);
-    h.extend_from_slice(&[0, 0]); // checksum placeholder
-    h.extend_from_slice(&src.octets());
-    h.extend_from_slice(&dst.octets());
-    let csum = ipv4_checksum(&h);
-    h[10..12].copy_from_slice(&csum.to_be_bytes());
-    h.extend_from_slice(payload);
-    h
-}
-
-/// Build an IPv6 packet (40-byte header, no extension headers).
-pub fn build_ipv6(src: Ipv6Addr, dst: Ipv6Addr, next_header: u8, payload: &[u8]) -> Vec<u8> {
-    let mut h = Vec::with_capacity(40 + payload.len());
-    h.extend_from_slice(&[0x60, 0, 0, 0]); // version 6, no traffic class / flow
-    h.extend_from_slice(&(payload.len() as u16).to_be_bytes());
-    h.push(next_header);
-    h.push(64); // hop limit
-    h.extend_from_slice(&src.octets());
-    h.extend_from_slice(&dst.octets());
-    h.extend_from_slice(payload);
-    h
-}
-
-/// Build a UDP datagram (checksum omitted — legal for IPv4).
-pub fn build_udp(src_port: u16, dst_port: u16, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&src_port.to_be_bytes());
-    out.extend_from_slice(&dst_port.to_be_bytes());
-    out.extend_from_slice(&((8 + payload.len()) as u16).to_be_bytes());
-    out.extend_from_slice(&[0, 0]);
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Build a minimal TCP segment (20-byte header, PSH+ACK, no options).
-pub fn build_tcp(src_port: u16, dst_port: u16, seq: u32, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(20 + payload.len());
-    out.extend_from_slice(&src_port.to_be_bytes());
-    out.extend_from_slice(&dst_port.to_be_bytes());
-    out.extend_from_slice(&seq.to_be_bytes());
-    out.extend_from_slice(&0u32.to_be_bytes()); // ack
-    out.push(5 << 4); // data offset 5 words
-    out.push(0x18); // PSH|ACK
-    out.extend_from_slice(&0xFFFFu16.to_be_bytes()); // window
-    out.extend_from_slice(&[0, 0, 0, 0]); // checksum + urgent
-    out.extend_from_slice(payload);
-    out
 }
 
 fn parse_ipv4_packet(ip: &[u8]) -> Result<ParsedPacket<'_>> {
@@ -437,6 +455,77 @@ mod tests {
         assert_eq!(Transport::from_protocol_number(17), Some(Transport::Udp));
         assert_eq!(Transport::from_protocol_number(6), Some(Transport::Tcp));
         assert_eq!(Transport::from_protocol_number(1), None);
+    }
+
+    /// The layered render the frame writer replaced: transport segment,
+    /// then the IP packet around it, then the frame around that.
+    fn layered_frame(tuple: &FiveTuple, payload: &[u8], tcp_seq: u32) -> Vec<u8> {
+        let (sp, dp) = (tuple.src.port().to_be_bytes(), tuple.dst.port().to_be_bytes());
+        let mut seg = [&sp[..], &dp[..]].concat();
+        match tuple.transport {
+            Transport::Udp => {
+                seg.extend_from_slice(&((8 + payload.len()) as u16).to_be_bytes());
+                seg.extend_from_slice(&[0, 0]);
+            }
+            Transport::Tcp => {
+                seg.extend_from_slice(&tcp_seq.to_be_bytes());
+                seg.extend_from_slice(&[0, 0, 0, 0, 5 << 4, 0x18, 0xFF, 0xFF, 0, 0, 0, 0]);
+            }
+        }
+        seg.extend_from_slice(payload);
+        let proto = tuple.transport.protocol_number();
+        let (ethertype, mut packet) = match (tuple.src.ip(), tuple.dst.ip()) {
+            (IpAddr::V4(s), IpAddr::V4(d)) => {
+                let mut h = vec![0x45, 0];
+                h.extend_from_slice(&((20 + seg.len()) as u16).to_be_bytes());
+                h.extend_from_slice(&[0, 0, 0x40, 0, 64, proto, 0, 0]);
+                h.extend_from_slice(&s.octets());
+                h.extend_from_slice(&d.octets());
+                let csum = ipv4_checksum(&h);
+                h[10..12].copy_from_slice(&csum.to_be_bytes());
+                (ETHERTYPE_IPV4, h)
+            }
+            (IpAddr::V6(s), IpAddr::V6(d)) => {
+                let mut h = vec![0x60, 0, 0, 0];
+                h.extend_from_slice(&(seg.len() as u16).to_be_bytes());
+                h.extend_from_slice(&[proto, 64]);
+                h.extend_from_slice(&s.octets());
+                h.extend_from_slice(&d.octets());
+                (ETHERTYPE_IPV6, h)
+            }
+            _ => unreachable!(),
+        };
+        packet.extend_from_slice(&seg);
+        let mut frame = [mac_for(tuple.dst.ip()), mac_for(tuple.src.ip())].concat();
+        frame.extend_from_slice(&ethertype.to_be_bytes());
+        frame.extend_from_slice(&packet);
+        frame
+    }
+
+    #[test]
+    fn frame_writer_matches_the_layered_render() {
+        let tuples = [
+            v4_tuple(),
+            FiveTuple::tcp("10.0.0.5:443".parse().unwrap(), "198.51.100.1:55000".parse().unwrap()),
+            FiveTuple::udp("[2001:db8::1]:40000".parse().unwrap(), "[2001:db8::2]:3478".parse().unwrap()),
+            FiveTuple::tcp("[fe80::7]:5223".parse().unwrap(), "[2001:db8::9]:443".parse().unwrap()),
+        ];
+        for tuple in &tuples {
+            for len in [0usize, 1, 2, 3, 171, 1200, 70_000] {
+                let payload: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+                let want = layered_frame(tuple, &payload, 0x0102_0304);
+                assert_eq!(ethernet_frame_len(tuple, len), want.len(), "{tuple} len {len}");
+                // The writer appends: whatever precedes the frame stays put.
+                let mut out = b"prefix".to_vec();
+                write_ethernet_packet(&mut out, tuple, &payload, 0x0102_0304);
+                assert_eq!(&out[..6], b"prefix");
+                assert_eq!(out[6..], want[..], "{tuple} len {len}");
+                if tuple.transport == Transport::Tcp {
+                    let at = tcp_seq_offset(tuple);
+                    assert_eq!(want[at..at + 4], [1, 2, 3, 4], "{tuple}");
+                }
+            }
+        }
     }
 
     #[test]
